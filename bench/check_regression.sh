@@ -44,19 +44,8 @@
 # deterministic subtrees to be byte-identical, i.e. degraded runs obey
 # the same -j identity contract as healthy ones.
 #
-# Gate 6 (bddpar): runs `bench/main.exe bddpar` (partitioned parallel
-# BDD engine vs the single-manager reference; BENCH_BDDPAR_CIRCUITS /
-# BENCH_BDDPAR_JOBS override the workload, defaults here keep the gate
-# affordable) and fails when (a) any partitioned result is not
-# value-identical to the reference — checked by the bench itself via
-# Bdd.transfer into one comparison manager — or (b) the -j 1 run is
-# more than BDDPAR_GATE_PCT% (default 50) slower than the reference;
-# -j 1 takes the very same single-manager code path, so headroom only
-# absorbs scheduling/GC noise on shared hosts, not real regressions.
-# On hosts with >= 4 domains it additionally requires at least one
-# circuit to reach >= 1.5x combined speedup at the largest pool; on
-# smaller hosts that clause is skipped (the within-run identity and
-# -j 1 checks remain meaningful anywhere).
+# Gate numbers skip 6: the later gates keep the numbers that DESIGN.md
+# and EXPERIMENTS.md cite.
 #
 # Gate 7 (serve): the job-server contract, in two halves. (a) Warm ≡
 # cold, end to end through the real binaries: at -j 1 and -j 4 it
@@ -114,9 +103,8 @@
 #
 # Usage: bench/check_regression.sh [max_regression_percent]
 # Skip a gate with SKIP_BDD_GATE=1 / SKIP_PAR_GATE=1 / SKIP_INCR_GATE=1
-# / SKIP_OBS_GATE=1 / SKIP_GUARD_GATE=1 / SKIP_BDDPAR_GATE=1 /
-# SKIP_SERVE_GATE=1 / SKIP_SAT_GATE=1 / SKIP_OBS_TELEM_GATE=1 /
-# SKIP_EGRAPH_GATE=1.
+# / SKIP_OBS_GATE=1 / SKIP_GUARD_GATE=1 / SKIP_SERVE_GATE=1 /
+# SKIP_SAT_GATE=1 / SKIP_OBS_TELEM_GATE=1 / SKIP_EGRAPH_GATE=1.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -137,7 +125,6 @@ obs_r1="${TMPDIR:-/tmp}/BENCH_obs.r1.$$.json"
 obs_r4="${TMPDIR:-/tmp}/BENCH_obs.r4.$$.json"
 guard_r1="${TMPDIR:-/tmp}/BENCH_guard.r1.$$.json"
 guard_r4="${TMPDIR:-/tmp}/BENCH_guard.r4.$$.json"
-bddpar_fresh="${TMPDIR:-/tmp}/BENCH_bddpar.fresh.$$.json"
 serve_fresh="${TMPDIR:-/tmp}/BENCH_serve.fresh.$$.json"
 serve_dir="${TMPDIR:-/tmp}/serve_gate.$$"
 sat_r1="${TMPDIR:-/tmp}/BENCH_sat.r1.$$.json"
@@ -147,7 +134,7 @@ obs_telem_fresh="${TMPDIR:-/tmp}/BENCH_obs.fresh.$$.json"
 egraph_r1="${TMPDIR:-/tmp}/BENCH_egraph.r1.$$.json"
 egraph_r4="${TMPDIR:-/tmp}/BENCH_egraph.r4.$$.json"
 trap 'rm -f "$bdd_fresh" "$par_fresh" "$incr_fresh" "$obs_r1" "$obs_r4" \
-  "$guard_r1" "$guard_r4" "$bddpar_fresh" "$serve_fresh" \
+  "$guard_r1" "$guard_r4" "$serve_fresh" \
   "$sat_r1" "$sat_r4" "$sat_report" "$sat_r1.det" "$sat_r4.det" \
   "$obs_telem_fresh" "$egraph_r1" "$egraph_r4"; \
   rm -rf "$serve_dir"' EXIT
@@ -333,67 +320,6 @@ else
     echo "check_regression: FAIL — faulted run broke, diverged across -j, or fault unfired" >&2
     fail=1
   fi
-fi
-
-# ------------------------------------------------------------------
-# Gate 6: partitioned BDD engine (identity + -j 1 parity + scaling)
-# ------------------------------------------------------------------
-
-if [ "${SKIP_BDDPAR_GATE:-0}" = 1 ]; then
-  echo "check_regression: bddpar gate skipped (SKIP_BDDPAR_GATE=1)"
-else
-  bddpar_pct="${BDDPAR_GATE_PCT:-50}"
-
-  # `bench bddpar` exits non-zero itself when any partitioned result is
-  # not value-identical to the single-manager reference.
-  BENCH_BDDPAR_OUT="$bddpar_fresh" \
-    BENCH_BDDPAR_JOBS="${BENCH_BDDPAR_JOBS:-1 4}" \
-    BENCH_BDDPAR_CIRCUITS="${BENCH_BDDPAR_CIRCUITS:-C432 lsu_stb_ctl_flat}" \
-    dune exec bench/main.exe -- bddpar
-
-  bddpar_verdict=$(awk -v p="$bddpar_pct" '
-    /"reference":/ {
-      r = $0; sub(/.*"total_s": /, "", r); sub(/[,} ].*/, "", r)
-      ref = r + 0
-    }
-    /"jobs": 1,/ {
-      s = $0; sub(/.*"seconds": /, "", s); sub(/[,} ].*/, "", s)
-      if (ref > 0 && s + 0 > ref * (1 + p / 100.0)) slow = 1
-    }
-    /"host_domains":/ {
-      d = $0; sub(/.*"host_domains": /, "", d); sub(/[,} ].*/, "", d)
-      domains = d + 0
-    }
-    /"best_speedup_at_top_jobs":/ {
-      b = $0; sub(/.*"best_speedup_at_top_jobs": /, "", b)
-      sub(/[,} ].*/, "", b); best = b + 0
-    }
-    /"all_identical":/ {
-      id = $0; sub(/.*"all_identical": /, "", id); sub(/[,} ].*/, "", id)
-      if (id != "true") bad = 1
-    }
-    END {
-      if (bad) { print "nonidentical"; exit }
-      if (slow) { print "slow"; exit }
-      if (domains >= 4 && best < 1.5) { print "noscale"; exit }
-      print "ok"
-    }' "$bddpar_fresh")
-
-  case "$bddpar_verdict" in
-    ok) echo "check_regression: bddpar gate OK" ;;
-    nonidentical)
-      echo "check_regression: FAIL — partitioned BDD results differ from reference" >&2
-      fail=1 ;;
-    slow)
-      echo "check_regression: FAIL — bddpar -j 1 more than ${bddpar_pct}% slower than reference" >&2
-      fail=1 ;;
-    noscale)
-      echo "check_regression: FAIL — no circuit reached 1.5x at top -j on a >=4-domain host" >&2
-      fail=1 ;;
-    *)
-      echo "check_regression: FAIL — could not parse $bddpar_fresh" >&2
-      fail=1 ;;
-  esac
 fi
 
 # ------------------------------------------------------------------

@@ -23,13 +23,6 @@
      dune exec bench/main.exe incr            -- incremental analyses vs
                                                  from-scratch + JSON
                                                  (BENCH_incr.json / $BENCH_INCR_OUT)
-     dune exec bench/main.exe bddpar          -- partitioned BDD engine vs
-                                                 single-manager reference + JSON
-                                                 (BENCH_bddpar.json /
-                                                  $BENCH_BDDPAR_OUT; knobs:
-                                                  $BENCH_BDDPAR_JOBS,
-                                                  $BENCH_BDDPAR_CIRCUITS,
-                                                  $BENCH_BDDPAR_MAX_NODES)
      dune exec bench/main.exe sat             -- incremental SAT core: the
                                                  sweep kernel (3x sat_sweep +
                                                  cec, Det stats + swept-BLIF
@@ -831,239 +824,6 @@ let incr_bench () =
   Printf.printf "wrote %s\n\n" out;
   if not all_same then begin
     prerr_endline "incr: incremental result differs from from-scratch";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Partitioned parallel BDD engine (lib/bddpar): whole-circuit globals *)
-(* + per-output SPCF, single-manager reference vs the partitioned      *)
-(* engine at several -j, with value-identity checks via Bdd.transfer   *)
-(* into one comparison manager. Emitted as JSON (BENCH_bddpar.json or  *)
-(* $BENCH_BDDPAR_OUT); check_regression.sh gate 6 requires identity at *)
-(* every -j and no slowdown at -j 1, and — on hosts with >= 4 domains  *)
-(* — at least one circuit with >= 1.5x combined speedup at the top -j. *)
-(* On single-core hosts the speedup clause is skipped (the partitioned *)
-(* runs then serialize, duplicated shared-cone work and all, which is  *)
-(* exactly what the partition balance figures in the JSON predict).    *)
-(* ------------------------------------------------------------------ *)
-
-let bddpar_bench () =
-  let jobs_list =
-    match Sys.getenv_opt "BENCH_BDDPAR_JOBS" with
-    | Some s ->
-      let tokens =
-        List.filter
-          (fun t -> t <> "")
-          (String.split_on_char ' '
-             (String.map (function ',' -> ' ' | c -> c) s))
-      in
-      let js = List.filter_map int_of_string_opt tokens in
-      if List.length js <> List.length tokens || js = [] then begin
-        Printf.eprintf
-          "bench bddpar: BENCH_BDDPAR_JOBS='%s' is not a list of integers\n" s;
-        exit 2
-      end;
-      js
-    | None -> [ 1; 2; 4 ]
-  in
-  let circuits =
-    match Sys.getenv_opt "BENCH_BDDPAR_CIRCUITS" with
-    | Some s ->
-      List.filter
-        (fun t -> t <> "")
-        (String.split_on_char ' '
-           (String.map (function ',' -> ' ' | c -> c) s))
-    | None -> fast_subset
-  in
-  (* Smaller late-node cap than the driver default: the workload runs
-     every output's SPCF (the driver touches only critical ones), and
-     the bench repeats it once per pool size. Identical across all runs
-     of one invocation, so identity and speedup stay apples-to-apples. *)
-  let max_nodes =
-    match Sys.getenv_opt "BENCH_BDDPAR_MAX_NODES" with
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-        Printf.eprintf
-          "bench bddpar: BENCH_BDDPAR_MAX_NODES='%s' is not a positive int\n"
-          s;
-        exit 2)
-    | None -> 8
-  in
-  Printf.printf
-    "== Partitioned BDD engine: globals + SPCF, reference vs -j %s \
-     (max_nodes %d), host domains: %d ==\n\
-     %-24s %-6s %-5s %8s | %10s %10s %10s | %s\n%!"
-    (String.concat "/" (List.map string_of_int jobs_list))
-    max_nodes
-    (Domain.recommended_domain_count ())
-    "circuit" "outs" "parts" "balance" "ref-glob" "ref-spcf" "ref-total"
-    "runs (jobs: s, speedup, identical)";
-  let rows = ref [] in
-  List.iter
-    (fun name ->
-      let g = Circuits.Suite.build name in
-      let net = Network.of_aig ~k:6 g in
-      let outs = Array.of_list (Network.outputs net) in
-      let levels = Network.Levels.compute net in
-      let delta (o : Network.output) = levels.(o.Network.node) in
-      (* Partition shape, for the balance prediction in the JSON (the
-         achievable speedup is bounded by total/max partition work). *)
-      let parts = Network.Partition.compute net in
-      let psizes =
-        Array.map
-          (fun (c : Network.Partition.cluster) ->
-            List.length c.Network.Partition.nodes)
-          parts
-      in
-      let psum = Array.fold_left ( + ) 0 psizes in
-      let pmax = Array.fold_left max 1 psizes in
-      let balance = float_of_int psum /. float_of_int pmax in
-      (* Single-manager reference, phases timed separately. *)
-      let man_ref = Bdd.create () in
-      let ref_globals = ref [||] in
-      (* Full majors before each timed region: the live heap grows run
-         over run (reference manager, comparison manager, transferred
-         copies), and letting earlier runs' garbage bleed into later
-         runs' GC slices would skew the -j 1 vs reference comparison
-         that gate 6 enforces. *)
-      Gc.full_major ();
-      let t_glob =
-        wall (fun () -> ref_globals := Network.Globals.of_net man_ref net)
-      in
-      let analysis = Network.Analysis.create net in
-      let ref_results = Array.make (Array.length outs) (Bdd.bfalse man_ref) in
-      let t_spcf =
-        wall (fun () ->
-            Array.iteri
-              (fun i (o : Network.output) ->
-                ref_results.(i) <-
-                  (if Network.is_input net o.Network.node then
-                     Bdd.bfalse man_ref
-                   else
-                     Timing.Spcf.approx man_ref net !ref_globals ~levels
-                       ~out:o ~delta:(delta o) ~max_nodes ~analysis ()))
-              outs)
-      in
-      let t_ref = t_glob +. t_spcf in
-      (* Comparison manager: reference results transferred once; each
-         run's results transferred and compared — canonicity makes
-         function equality an integer compare once both sides live in
-         one manager. *)
-      let cmp = Bdd.create () in
-      let ref_in_cmp =
-        Array.mapi
-          (fun i (o : Network.output) ->
-            ( Bdd.transfer ~src:man_ref ~dst:cmp
-                !ref_globals.(o.Network.node),
-              Bdd.transfer ~src:man_ref ~dst:cmp ref_results.(i) ))
-          outs
-      in
-      let runs =
-        List.map
-          (fun j ->
-            Par.set_default_jobs j;
-            let dst = Bdd.create () in
-            let results = ref [||] in
-            Gc.full_major ();
-            let secs =
-              wall (fun () ->
-                  results := Bddpar.analyze ~max_nodes ~delta ~dst net)
-            in
-            let identical =
-              Array.for_all2
-                (fun (rg, rs) (r : Bddpar.result) ->
-                  Bdd.equal rg (Bdd.transfer ~src:dst ~dst:cmp r.Bddpar.global)
-                  && Bdd.equal rs
-                       (Bdd.transfer ~src:dst ~dst:cmp r.Bddpar.spcf))
-                ref_in_cmp !results
-            in
-            (j, secs, t_ref /. Float.max 1e-9 secs, identical))
-          jobs_list
-      in
-      Printf.printf "%-24s %-6d %-5d %7.2fx | %10.4f %10.4f %10.4f | %s\n%!"
-        name (Array.length outs) (Array.length parts) balance t_glob t_spcf
-        t_ref
-        (String.concat "  "
-           (List.map
-              (fun (j, s, sp, id) ->
-                Printf.sprintf "%d: %.3fs %.2fx %s" j s sp
-                  (if id then "ok" else "DIFF"))
-              runs));
-      rows :=
-        (name, Array.length outs, Array.length parts, psum, pmax, balance,
-         t_glob, t_spcf, t_ref, runs)
-        :: !rows)
-    circuits;
-  Par.set_default_jobs 0;
-  let rows = List.rev !rows in
-  let all_identical =
-    List.for_all
-      (fun (_, _, _, _, _, _, _, _, _, runs) ->
-        List.for_all (fun (_, _, _, id) -> id) runs)
-      rows
-  in
-  let top_j = List.fold_left max 1 jobs_list in
-  let best_speedup =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, _, _, runs) ->
-        List.fold_left
-          (fun acc (j, _, sp, _) -> if j = top_j then Float.max acc sp else acc)
-          acc runs)
-      0.0 rows
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_BDDPAR_OUT" with
-    | Some p -> p
-    | None -> "BENCH_bddpar.json"
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"bddpar-bench/v1\",\n\
-    \  \"host_domains\": %d,\n\
-    \  \"max_nodes\": %d,\n\
-    \  \"rows\": [\n"
-    (Domain.recommended_domain_count ())
-    max_nodes;
-  let rec emit = function
-    | [] -> ()
-    | (name, nouts, nparts, psum, pmax, balance, tg, ts, tt, runs) :: rest ->
-      Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"outputs\": %d, \"partitions\": %d, \
-         \"partition_nodes_sum\": %d, \"partition_nodes_max\": %d, \
-         \"balance\": %.3f,\n\
-        \     \"reference\": {\"globals_s\": %.6f, \"spcf_s\": %.6f, \
-         \"total_s\": %.6f},\n\
-        \     \"runs\": [\n%s]}%s\n"
-        name nouts nparts psum pmax balance tg ts tt
-        (* One run object per line: check_regression.sh's awk keys each
-           run's fields off its own "jobs": N line. *)
-        (String.concat ",\n"
-           (List.map
-              (fun (j, s, sp, id) ->
-                Printf.sprintf
-                  "       {\"jobs\": %d, \"seconds\": %.6f, \"speedup\": \
-                   %.3f, \"identical\": %b}"
-                  j s sp id)
-              runs))
-        (if rest = [] then "" else ",");
-      emit rest
-  in
-  emit rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"top_jobs\": %d,\n\
-    \  \"best_speedup_at_top_jobs\": %.3f,\n\
-    \  \"all_identical\": %b\n\
-     }\n"
-    top_j best_speedup all_identical;
-  close_out oc;
-  Printf.printf "wrote %s\n\n" out;
-  if not all_identical then begin
-    prerr_endline
-      "bddpar: partitioned result differs from single-manager reference";
     exit 1
   end
 
@@ -2309,7 +2069,6 @@ let () =
       | "bdd" -> bdd_bench ()
       | "par" -> par_bench ()
       | "incr" -> incr_bench ()
-      | "bddpar" -> bddpar_bench ()
       | "sat" -> sat_bench ()
       | "serve" -> serve_bench ()
       | "obs" -> obs_bench ()

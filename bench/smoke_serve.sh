@@ -4,7 +4,9 @@
 # clean job and one fault-injected job, assert a well-formed success
 # and a well-formed degradation response, scrape and validate the
 # telemetry surfaces (metrics exposition, per-job trace, top, journal
-# JSONL), then shut the server down and require it to exit cleanly.
+# JSONL), check that a combinational-loop BLIF fails cleanly and a
+# clean job still runs after it, then shut the server down and require
+# it to exit cleanly.
 #
 # This is the cheap always-on CI check; the full warm-vs-cold identity
 # and latency gates live in check_regression.sh (gates 7 and 9).
@@ -109,6 +111,26 @@ dune exec bin/lookahead_serve.exe -- top -s "$sock" --iterations 1 \
   echo "smoke_serve: FAIL — top failed" >&2; fail=1; }
 grep -q "breaches" "$out/top.out" || {
   echo "smoke_serve: FAIL — top printed no SLO table" >&2; fail=1; }
+
+# Bad input: a BLIF whose two gates feed each other must fail the job
+# with the reader's loop message (not a stack overflow), and the same
+# server must still complete a clean job afterwards.
+printf '.model loop\n.inputs a\n.outputs z\n.names a z y\n11 1\n.names y a z\n11 1\n.end\n' \
+  >"$out/loop.blif"
+if dune exec bin/lookahead_serve.exe -- submit -s "$sock" \
+     --blif "$out/loop.blif" --tool none \
+     >"$out/loop.out" 2>"$out/loop.err"; then
+  echo "smoke_serve: FAIL — loop job exited zero" >&2; fail=1
+fi
+grep -q "combinational loop" "$out/loop.err" || {
+  echo "smoke_serve: FAIL — loop job did not report the loop" >&2; fail=1; }
+dune exec bin/lookahead_serve.exe -- submit -s "$sock" --adder cla:8 \
+  --time-limit 0 >"$out/after.out" 2>/dev/null || {
+  echo "smoke_serve: FAIL — clean job after the loop job failed" >&2
+  fail=1; }
+grep -q "delay" "$out/after.out" || {
+  echo "smoke_serve: FAIL — clean job after the loop job printed no metrics" >&2
+  fail=1; }
 
 # Graceful shutdown: the request must be acknowledged and the server
 # process must exit on its own.

@@ -119,16 +119,23 @@ let read_blif text =
   let by_output = Hashtbl.create 64 in
   List.iter (fun t -> Hashtbl.replace by_output t.output t) tables;
   let lev = Lev.create g in
+  (* Signals whose fanins are being built: meeting one again means a
+     combinational loop, which would otherwise recurse forever. *)
+  let in_progress = Hashtbl.create 64 in
   let rec build name =
     match Hashtbl.find_opt env name with
     | Some l -> l
     | None ->
+      if Hashtbl.mem in_progress name then
+        failwith (Printf.sprintf "blif: combinational loop through %s" name);
       let t =
         match Hashtbl.find_opt by_output name with
         | Some t -> t
         | None -> failwith (Printf.sprintf "blif: undriven signal %s" name)
       in
+      Hashtbl.replace in_progress name ();
       let fanin_lits = List.map build t.inputs in
+      Hashtbl.remove in_progress name;
       let n = List.length t.inputs in
       let cube_of pattern =
         let lits = ref [] in
@@ -255,16 +262,23 @@ let read_bench text =
   List.iter
     (fun n -> Hashtbl.replace env n (Graph.add_input ~name:n g))
     (List.rev !inputs);
+  (* As in [read_blif]: a signal met again while its fanins are being
+     built closes a combinational loop. *)
+  let in_progress = Hashtbl.create 64 in
   let rec build name =
     match Hashtbl.find_opt env name with
     | Some l -> l
     | None ->
+      if Hashtbl.mem in_progress name then
+        failwith (Printf.sprintf "bench: combinational loop through %s" name);
       let op, args =
         match Hashtbl.find_opt gates name with
         | Some x -> x
         | None -> failwith (Printf.sprintf "bench: undriven signal %s" name)
       in
+      Hashtbl.replace in_progress name ();
       let lits = List.map build args in
+      Hashtbl.remove in_progress name;
       let l =
         match (op, lits) with
         | "AND", ls -> Graph.band_list g ls

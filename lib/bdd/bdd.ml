@@ -109,13 +109,6 @@ let cache_clear c =
 (* ------------------------------------------------------------------ *)
 
 type man = {
-  (* Process-unique manager id. Used only as a key of the cross-manager
-     transfer memo, so the id sequence never influences any computed
-     function — determinism does not depend on creation order. Mutable
-     because [reset] must issue a fresh identity: stale transfer memos
-     in other managers are keyed by uid, and a recycled id would let
-     them alias the new node space. *)
-  mutable uid : int;
   mutable var_ : int array; (* var_.(0) = max_int: terminal sentinel *)
   mutable lo_ : int array; (* else-edge, may carry the complement bit *)
   mutable hi_ : int array; (* then-edge, always regular *)
@@ -130,12 +123,6 @@ type man = {
   compose_cache : cache;
   apply_memo : (string, int) Hashtbl.t;
   apply_memo_max : int;
-  (* Cross-manager transfer memo, held by the {e destination}: source
-     uid -> (source node id -> edge here). Shared subgraphs of repeated
-     transfers from the same source move once. *)
-  transfer_memo : (int, (int, int) Hashtbl.t) Hashtbl.t;
-  mutable transfer_lookups : int;
-  mutable transfer_hits : int;
   (* Per-manager scratch tables so size/satcount queries allocate
      nothing. Satisfying fractions of a node never change, so sat_done
      is a sticky flag; reachability marks use an epoch counter. *)
@@ -150,15 +137,12 @@ type man = {
   mutable ceiling : int;
 }
 
-let uid_counter = Atomic.make 0
-
 let create ?(cache_size = 1 lsl 14) ?(guard = Guard.none) () =
   let bits n = max 8 (int_of_float (ceil (log (float_of_int n) /. log 2.))) in
   let cap = 1024 in
   let var_ = Array.make cap 0 in
   var_.(0) <- max_int;
   {
-    uid = Atomic.fetch_and_add uid_counter 1;
     var_;
     lo_ = Array.make cap 0;
     hi_ = Array.make cap 0;
@@ -173,9 +157,6 @@ let create ?(cache_size = 1 lsl 14) ?(guard = Guard.none) () =
     compose_cache = cache_create 10 18;
     apply_memo = Hashtbl.create 256;
     apply_memo_max = 1 lsl 16;
-    transfer_memo = Hashtbl.create 4;
-    transfer_lookups = 0;
-    transfer_hits = 0;
     sat_val = [||];
     sat_done = Bytes.empty;
     mark = [||];
@@ -449,55 +430,6 @@ let apply_tt man tt args =
     r
 
 (* ------------------------------------------------------------------ *)
-(* Cross-manager transfer.                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Structure-preserving rebuild of [f]'s subgraph inside [dst]: each
-   source node (v, lo, hi) maps to [mk dst v lo' hi'], so the image is
-   the same function and — [dst] being hash-consed — the same edge no
-   matter how many managers it arrives from or in what order. The memo
-   is per (source uid, source node id) and lives in [dst], so shared
-   subgraphs of repeated transfers from one source move exactly once.
-   Only [dst] is mutated; [src] is read-only, which is what lets a
-   merge loop drain per-worker managers from the awaiting domain. *)
-let transfer ~src ~dst f =
-  if src == dst then f
-  else begin
-    Guard.tick_bdd dst.guard ~site:"bdd.transfer";
-    let memo =
-      match Hashtbl.find_opt dst.transfer_memo src.uid with
-      | Some m -> m
-      | None ->
-        let m = Hashtbl.create 256 in
-        Hashtbl.add dst.transfer_memo src.uid m;
-        m
-    in
-    (* [go id] is the image of the regular edge to source node [id];
-       the complement bit of each visited edge is re-applied outside,
-       so a function and its negation share one memo entry. *)
-    let rec go id =
-      if id = 0 then 0
-      else begin
-        dst.transfer_lookups <- dst.transfer_lookups + 1;
-        match Hashtbl.find_opt memo id with
-        | Some e ->
-          dst.transfer_hits <- dst.transfer_hits + 1;
-          e
-        | None ->
-          let lo = src.lo_.(id) and hi = src.hi_.(id) in
-          let lo' = go (lo lsr 1) lxor (lo land 1) in
-          let hi' = go (hi lsr 1) in
-          let v = src.var_.(id) in
-          if v >= dst.nvars then dst.nvars <- v + 1;
-          let e = mk dst v lo' hi' in
-          Hashtbl.add memo id e;
-          e
-      end
-    in
-    go (f lsr 1) lxor (f land 1)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Counting and inspection.                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -621,10 +553,6 @@ type stats = {
   compose_hits : int;
   compose_cache_growths : int;
   apply_memo_entries : int;
-  transfer_lookups : int;
-  transfer_hits : int;
-  transfer_sources : int;
-  transfer_memo_entries : int;
 }
 
 let stats man =
@@ -646,11 +574,6 @@ let stats man =
     compose_hits = man.compose_cache.c_hits;
     compose_cache_growths = man.compose_cache.c_grows;
     apply_memo_entries = Hashtbl.length man.apply_memo;
-    transfer_lookups = man.transfer_lookups;
-    transfer_hits = man.transfer_hits;
-    transfer_sources = Hashtbl.length man.transfer_memo;
-    transfer_memo_entries =
-      Hashtbl.fold (fun _ m acc -> acc + Hashtbl.length m) man.transfer_memo 0;
   }
 
 let clear_caches man =
@@ -658,7 +581,6 @@ let clear_caches man =
   cache_clear man.restrict_cache;
   cache_clear man.compose_cache;
   Hashtbl.reset man.apply_memo;
-  Hashtbl.reset man.transfer_memo;
   (* The satcount scratch is a per-node memo too: drop it (it rebuilds
      lazily at full store size), so long-lived managers don't carry one
      float per ever-allocated node across jobs. *)
@@ -686,7 +608,6 @@ let cache_reset c bits =
 
 let reset ?(cache_size = 1 lsl 14) ?(guard = Guard.none) man =
   let bits n = max 8 (int_of_float (ceil (log (float_of_int n) /. log 2.))) in
-  man.uid <- Atomic.fetch_and_add uid_counter 1;
   man.var_.(0) <- max_int;
   man.next <- 1;
   (* The unique table is exact, but its capacity feeds [unique_grows]
@@ -708,9 +629,6 @@ let reset ?(cache_size = 1 lsl 14) ?(guard = Guard.none) man =
   (* Hashtbl.clear keeps the grown bucket arrays (warm), unlike the
      Hashtbl.reset in [clear_caches]; only length is observable. *)
   Hashtbl.clear man.apply_memo;
-  Hashtbl.clear man.transfer_memo;
-  man.transfer_lookups <- 0;
-  man.transfer_hits <- 0;
   man.sat_val <- [||];
   man.sat_done <- Bytes.empty;
   man.mark <- [||];

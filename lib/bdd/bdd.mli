@@ -80,19 +80,6 @@ val exists : man -> int list -> t -> t
     recomputing the image of the same window at the same node is O(1). *)
 val apply_tt : man -> Logic.Tt.t -> t array -> t
 
-(** [transfer ~src ~dst f] rebuilds [f] (an edge of [src]) inside [dst]
-    and returns the resulting edge: the same function, re-hash-consed in
-    the destination. The rebuild is structure-preserving, so
-    [size dst (transfer ~src ~dst f) = size src f], complement edges are
-    preserved, and — [dst] being canonical — transferring equal
-    functions from any mix of source managers yields equal edges.
-    Memoized per (source manager, source node) in [dst] (dropped by
-    {!clear_caches}), so shared subgraphs of repeated transfers move
-    once. [transfer ~src ~dst:src f] is [f]. Only [dst] is mutated;
-    [src] is read-only. Allocation counts against [dst]'s guard ceiling,
-    and each call ticks [dst]'s guard at site ["bdd.transfer"]. *)
-val transfer : src:man -> dst:man -> t -> t
-
 (** [satcount m ~nvars f] is the number of satisfying minterms of [f] over
     a space of [nvars] variables, as a float (spaces can exceed 2^62).
     Per-node satisfying fractions are memoized in a manager scratch table
@@ -131,29 +118,24 @@ type stats = {
   compose_hits : int;
   compose_cache_growths : int;
   apply_memo_entries : int;
-  transfer_lookups : int;  (** nodes visited by {!transfer} *)
-  transfer_hits : int;  (** of which were already memoized *)
-  transfer_sources : int;  (** distinct source managers memoized *)
-  transfer_memo_entries : int;  (** memoized (source node -> edge) pairs *)
 }
 
 val stats : man -> stats
 
-(** Drop every op-cache entry, the [apply_tt] memo, the {!transfer}
-    memo, and the per-node [satcount] scratch (the node store and
-    unique table are untouched, so existing edges stay valid). Frees
-    every per-job memo a long-lived manager accumulates. *)
+(** Drop every op-cache entry, the [apply_tt] memo and the per-node
+    [satcount] scratch (the node store and unique table are untouched,
+    so existing edges stay valid). Frees every per-job memo a
+    long-lived manager accumulates. *)
 val clear_caches : man -> unit
 
 (** [reset man] returns [man] to the observable state of a fresh
     {!create} — empty store, creation-capacity unique table and op
-    caches, all counters zero, a {e fresh} [uid] (so stale {!transfer}
-    memos held by other managers can never alias the new node space),
-    and the given guard — while retaining the grown node-store arrays
-    and hashtable buckets, whose capacity is not observable. Guarantee:
-    every subsequent operation sequence yields bit-identical results
-    {e and} bit-identical {!stats} to the same sequence on a fresh
-    manager. All previously returned [t] values are invalidated. *)
+    caches, all counters zero, and the given guard — while retaining
+    the grown node-store arrays and hashtable buckets, whose capacity
+    is not observable. Guarantee: every subsequent operation sequence
+    yields bit-identical results {e and} bit-identical {!stats} to the
+    same sequence on a fresh manager. All previously returned [t]
+    values are invalidated. *)
 val reset : ?cache_size:int -> ?guard:Guard.t -> man -> unit
 
 (** A process-wide pool of recycled managers for warm servers: acquire

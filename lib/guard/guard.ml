@@ -122,14 +122,14 @@ let create ?(deadline = Deadline.never) budget =
 let budget t = t.budget
 let deadline t = t.deadline
 
-(* Partition a context's node budget into [n] sub-contexts whose
-   ceilings sum to the whole (remainder spread over the first parts,
-   floor 1 so a tiny budget never turns into an unlimited 0). Each part
-   gets fresh hit counters: injection rules fire against per-partition
-   tick counts, which depend only on that partition's work — the same
-   determinism anchor as per-job contexts. The deadline is shared (time
-   is not divisible) and the SAT ceiling is replicated (partitioned
-   work is BDD-only; a partition never runs more SAT than the job). *)
+(* Split a context's node budget into [n] sub-contexts whose ceilings
+   sum to the whole (remainder spread over the first parts, floor 1 so
+   a tiny budget never turns into an unlimited 0). Each part gets fresh
+   hit counters: injection rules fire against per-part tick counts,
+   which depend only on that part's work — the same determinism anchor
+   as per-job contexts. The deadline is shared (time is not divisible)
+   and the per-call SAT ceiling is replicated (no part runs a bigger
+   SAT query than the whole job could). *)
 let divide t n =
   if n <= 0 then invalid_arg "Guard.divide: n must be positive";
   if not t.guarded then List.init n (fun _ -> none)

@@ -116,15 +116,16 @@ val create : ?deadline:Deadline.t -> Budget.t -> t
 val budget : t -> Budget.t
 val deadline : t -> Deadline.t
 
-(** [divide t n] splits [t] into [n] sub-contexts for partitioned work:
-    the BDD node ceilings of the parts sum to [t]'s (remainder on the
-    first parts; floor 1 per part, so for [n] greater than the ceiling
-    the sum exceeds it slightly rather than any part becoming
-    unlimited), an unlimited ceiling stays unlimited, the deadline is
-    shared, and the SAT ceiling is replicated. Each part has fresh
-    injection hit counters, so armed faults land per-partition — a
-    function of that partition's work only, never of scheduling.
-    [divide none n] is [n] copies of {!none}. *)
+(** [divide t n] splits [t] into [n] sub-contexts for work run as
+    parallel parts (the portfolio's arms): the BDD node ceilings of
+    the parts sum to [t]'s (remainder on the first parts; floor 1 per
+    part, so for [n] greater than the ceiling the sum exceeds it
+    slightly rather than any part becoming unlimited), an unlimited
+    ceiling stays unlimited, the deadline is shared, and the SAT
+    ceiling is replicated. Each part has fresh injection hit counters,
+    so armed faults land per part — a function of that part's work
+    only, never of scheduling. [divide none n] is [n] copies of
+    {!none}. *)
 val divide : t -> int -> t list
 
 (** [divide_overcommits t n] is [true] exactly when {!divide}[ t n]

@@ -12,13 +12,11 @@ val of_net : ?guard:Guard.t -> Bdd.man -> Graph.t -> Bdd.t array
 
 (** [of_cluster man net ~nodes] builds the global functions of the
     listed nodes only — [nodes] must be a fanin-closed subset in
-    topological order (a {!Graph.cone}, or a {!Partition.cluster}'s
-    node list). Entries outside [nodes] are unspecified and must not be
-    read. Within one manager, every built entry is the same hash-consed
-    edge {!of_net} would produce, at the cost of the cluster instead of
-    the whole network — the per-output decomposition jobs and the
-    partitioned parallel engine both build exactly the cones they
-    read. *)
+    topological order (e.g. a {!Graph.cone}). Entries outside [nodes]
+    are unspecified and must not be read. Within one manager, every
+    built entry is the same hash-consed edge {!of_net} would produce,
+    at the cost of the subset instead of the whole network — the
+    per-output decomposition jobs build exactly the cone they read. *)
 val of_cluster :
   ?guard:Guard.t -> Bdd.man -> Graph.t -> nodes:int list -> Bdd.t array
 
@@ -31,9 +29,9 @@ val of_cluster :
     hash-consed edges).
 
     [member] restricts the update to a fanin-closed node subset (the
-    mask of the cone or cluster [globals] was built over, see
-    {!of_cluster}): affected nodes outside the mask are skipped and
-    their entries stay unspecified.
+    mask of the cone [globals] was built over, see {!of_cluster}):
+    affected nodes outside the mask are skipped and their entries stay
+    unspecified.
 
     When the affected region covers more than half of the (in-scope)
     internal nodes, the per-node affected test is dropped and every

@@ -2,4 +2,3 @@ include Graph
 module Levels = Levels
 module Globals = Globals
 module Analysis = Analysis
-module Partition = Partition

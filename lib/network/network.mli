@@ -13,4 +13,3 @@ end
 module Levels = Levels
 module Globals = Globals
 module Analysis = Analysis
-module Partition = Partition

@@ -321,12 +321,12 @@ let map_reduce ?pool ~init ~f ~combine acc xs =
   List.fold_left combine acc (map ?pool ~init ~f xs)
 
 (* Bounded-wave fork + submission-order merge. The affinity contract
-   this encodes: any state a job builds privately (a per-job or
-   per-partition BDD manager, say) is touched by exactly one worker
-   domain until its future is awaited, after which the merge callback —
-   always on the calling domain, always in submission order — is the
-   only reader. The wave bound caps how many completed-but-unmerged
-   results are live at once. *)
+   this encodes: any state a job builds privately (a per-job BDD
+   manager, say) is touched by exactly one worker domain until its
+   future is awaited, after which the merge callback — always on the
+   calling domain, always in submission order — is the only reader.
+   The wave bound caps how many completed-but-unmerged results are
+   live at once. *)
 let map_merge ?pool ?wave ~init ~f ~merge acc xs =
   let pool = resolve_pool pool in
   if Pool.size pool <= 1 then begin

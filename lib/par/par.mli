@@ -134,7 +134,7 @@ val map_reduce :
     submission order} on the calling domain, so at most a wave of
     completed-but-unmerged results is live at once. This is the
     manager-affine submission primitive: state a job builds privately
-    (a per-partition BDD manager) is touched by exactly one worker
+    (a per-output job's BDD manager) is touched by exactly one worker
     until its future is merged, and the merge — sequential, in
     submission order — is the only other reader. On a 1-job pool the
     whole call runs in the calling domain with a single [init], jobs

@@ -165,6 +165,22 @@ let prop_bench_roundtrip =
       let g' = Aig.Io.read_bench (Buffer.contents buf) in
       check_equiv_and_report "bench" g g')
 
+(* Two gates feeding each other: z = y & a, y = a & z. *)
+let test_blif_loop () =
+  Alcotest.check_raises "loop fails instead of overflowing the stack"
+    (Failure "blif: combinational loop through z") (fun () ->
+      ignore
+        (Aig.Io.read_blif
+           ".model loop\n.inputs a\n.outputs z\n.names a z y\n11 1\n\
+            .names y a z\n11 1\n.end\n"))
+
+let test_bench_loop () =
+  Alcotest.check_raises "loop fails instead of overflowing the stack"
+    (Failure "bench: combinational loop through z") (fun () ->
+      ignore
+        (Aig.Io.read_bench
+           "INPUT(a)\nOUTPUT(z)\ny = AND(a, z)\nz = AND(y, a)\n"))
+
 let prop_cut_functions =
   qtest ~count:25 "cut functions match node function" gen_seed (fun seed ->
       let g = random_aig ~inputs:6 ~gates:40 seed in
@@ -264,6 +280,8 @@ let () =
           Alcotest.test_case "cec detects difference" `Quick test_cec_detects_difference;
           prop_blif_roundtrip;
           prop_bench_roundtrip;
+          Alcotest.test_case "blif combinational loop" `Quick test_blif_loop;
+          Alcotest.test_case "bench combinational loop" `Quick test_bench_loop;
           prop_aag_roundtrip;
           prop_aig_binary_roundtrip;
           Alcotest.test_case "verilog" `Quick test_verilog_output;

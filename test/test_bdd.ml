@@ -223,56 +223,6 @@ let prop_canonical_invariant =
          variables strictly increasing along every edge. *)
       Bdd.check_canonical man)
 
-(* ------------------------------------------------------------------ *)
-(* Cross-manager transfer.                                             *)
-(* ------------------------------------------------------------------ *)
-
-let prop_transfer_value =
-  qtest "transfer: same function in the destination" ~count:300 arb_formula
-    (fun fm ->
-      let src = Bdd.create () and dst = Bdd.create () in
-      let f = formula_bdd src fm in
-      let f' = Bdd.transfer ~src ~dst f in
-      (* Canonicity: rebuilding the formula natively in [dst] must land
-         on the very same edge the transfer produced. *)
-      Bdd.equal f' (formula_bdd dst fm)
-      && Bdd.equal f' (bdd_of_tt dst (formula_tt fm))
-      && Bdd.check_canonical dst)
-
-let prop_transfer_complement_and_size =
-  qtest "transfer: preserves complement and node count" arb_formula (fun fm ->
-      let src = Bdd.create () and dst = Bdd.create () in
-      let f = formula_bdd src fm in
-      let nf = Bdd.bnot src f in
-      let f' = Bdd.transfer ~src ~dst f in
-      Bdd.equal (Bdd.transfer ~src ~dst nf) (Bdd.bnot dst f')
-      && Bdd.size dst f' = Bdd.size src f)
-
-let prop_transfer_idempotent =
-  qtest "transfer: memoized and idempotent" arb_formula (fun fm ->
-      let src = Bdd.create () and dst = Bdd.create () in
-      let f = formula_bdd src fm in
-      let f1 = Bdd.transfer ~src ~dst f in
-      let live = (Bdd.stats dst).Bdd.live_nodes in
-      let f2 = Bdd.transfer ~src ~dst f in
-      (* Second transfer is a pure memo walk: same edge, no allocation;
-         and a same-manager transfer is the identity. *)
-      Bdd.equal f1 f2
-      && (Bdd.stats dst).Bdd.live_nodes = live
-      && Bdd.transfer ~src ~dst:src f = f)
-
-let prop_transfer_many_sources =
-  qtest "transfer: merging two sources preserves algebra" ~count:100
-    (QCheck.pair arb_formula arb_formula) (fun (fa, fb) ->
-      (* The bddpar merge pattern: results built in separate managers,
-         drained into one, then combined there. *)
-      let m1 = Bdd.create () and m2 = Bdd.create () and dst = Bdd.create () in
-      let a = Bdd.transfer ~src:m1 ~dst (formula_bdd m1 fa) in
-      let b = Bdd.transfer ~src:m2 ~dst (formula_bdd m2 fb) in
-      Bdd.equal (Bdd.band dst a b)
-        (bdd_of_tt dst (Tt.land_ (formula_tt fa) (formula_tt fb)))
-      && Bdd.check_canonical dst)
-
 let test_stats_and_caches () =
   let man = Bdd.create () in
   let x = Bdd.var man 0 and y = Bdd.var man 1 and z = Bdd.var man 2 in
@@ -288,19 +238,12 @@ let test_stats_and_caches () =
   Alcotest.(check bool)
     "ite cache capacity is a power of two" true
     (s.Bdd.ite_cache_capacity land (s.Bdd.ite_cache_capacity - 1) = 0);
-  (* Exercise the satcount and transfer memos so clearing has work. *)
+  (* Exercise the satcount memo so clearing has work. *)
   ignore (Bdd.satcount man ~nvars:3 f);
-  let other = Bdd.create () in
-  let _ = Bdd.transfer ~src:other ~dst:man (Bdd.var other 1) in
-  Alcotest.(check bool)
-    "transfer memo populated" true
-    ((Bdd.stats man).Bdd.transfer_memo_entries > 0);
   (* Clearing the caches must not change any function. *)
   Bdd.clear_caches man;
   let s' = Bdd.stats man in
   Alcotest.(check int) "apply memo cleared" 0 s'.Bdd.apply_memo_entries;
-  Alcotest.(check int) "transfer memo cleared" 0 s'.Bdd.transfer_memo_entries;
-  Alcotest.(check int) "transfer sources cleared" 0 s'.Bdd.transfer_sources;
   Alcotest.(check bool)
     "f unchanged after clear" true
     (Bdd.equal f (Bdd.bor man (Bdd.band man x y) (Bdd.bxor man y z)));
@@ -343,9 +286,5 @@ let () =
           prop_formula_exists;
           prop_formula_satcount;
           prop_canonical_invariant;
-          prop_transfer_value;
-          prop_transfer_complement_and_size;
-          prop_transfer_idempotent;
-          prop_transfer_many_sources;
         ] );
     ]

@@ -271,10 +271,10 @@ let prop_inc_globals_member =
       let net = Network.of_aig ~k:4 g in
       let man = Bdd.create () in
       let fanouts = Network.fanouts net in
-      (* Work inside one output's fanin cone, the bddpar / driver
-         pattern: globals built with of_cluster, edits confined to the
-         cone, updates masked to it. Out-of-mask entries are
-         unspecified, so only in-cone entries are compared. *)
+      (* Work inside one output's fanin cone, the driver pattern:
+         globals built with of_cluster, edits confined to the cone,
+         updates masked to it. Out-of-mask entries are unspecified, so
+         only in-cone entries are compared. *)
       let o = Network.output net 0 in
       let cone = Network.cone net o.Network.node in
       let member = Array.make (Network.num_nodes net) false in

@@ -140,29 +140,6 @@ let test_verilog_netlist () =
   Alcotest.(check bool) "instantiates cells" true (contains text " u0 (");
   Alcotest.(check bool) "ends" true (contains text "endmodule")
 
-(* --- LUT mapping ----------------------------------------------------------- *)
-
-let prop_lut_correct =
-  qtest ~count:40 "k-LUT cover simulates like the AIG" gen_seed (fun seed ->
-      let g = random_aig seed in
-      Techmap.Lut.check (Techmap.Lut.map ~k:4 g))
-
-let test_lut_depth_bound () =
-  (* LUT depth with k=4 must be far below AIG depth on the adder. *)
-  let g = Circuits.Adders.ripple_carry 16 in
-  let n = Techmap.Lut.map ~k:4 g in
-  Alcotest.(check bool) "check" true (Techmap.Lut.check n);
-  Alcotest.(check bool) "fewer levels" true
-    (Techmap.Lut.depth n * 2 <= Aig.depth g);
-  Alcotest.(check bool) "fewer luts than ands" true
-    (Techmap.Lut.num_luts n <= Aig.num_reachable_ands g)
-
-let prop_lut_k_monotone =
-  qtest ~count:20 "larger k never deepens the LUT cover" gen_seed (fun seed ->
-      let g = random_aig seed in
-      Techmap.Lut.depth (Techmap.Lut.map ~k:6 g)
-      <= Techmap.Lut.depth (Techmap.Lut.map ~k:4 g))
-
 (* --- power ---------------------------------------------------------------- *)
 
 let test_power_positive_and_scales () =
@@ -200,12 +177,6 @@ let () =
           Alcotest.test_case "consistent with delay" `Quick test_sta_consistent_with_delay;
           Alcotest.test_case "nonnegative slack" `Quick test_sta_nonnegative_slack;
           Alcotest.test_case "verilog netlist" `Quick test_verilog_netlist;
-        ] );
-      ( "lut",
-        [
-          prop_lut_correct;
-          Alcotest.test_case "adder depth bound" `Quick test_lut_depth_bound;
-          prop_lut_k_monotone;
         ] );
       ( "power",
         [
