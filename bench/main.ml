@@ -1,22 +1,24 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   and provides Bechamel micro-benchmarks for the synthesis kernels.
+   and runs the correctness workloads behind bench/check_regression.sh.
+   Wall-clock trends live in perfbench/ (python3 perfbench/run.py, ledger
+   perfbench/LEDGER.json); per-run phase times in lookahead_opt --report.
 
    Usage:
      dune exec bench/main.exe                 -- regenerate all tables (fast set)
      dune exec bench/main.exe table1          -- Table 1 only
      dune exec bench/main.exe table2          -- Table 2 (fast subset)
      dune exec bench/main.exe table2-full     -- Table 2, all 15 circuits
+     dune exec bench/main.exe table2-guard    -- Table 2 fast subset minus
+                                                 C432, no deadline, for
+                                                 --inject runs (gate 5)
      dune exec bench/main.exe ablation        -- design-choice ablations
-     dune exec bench/main.exe bechamel        -- wall-clock micro-benchmarks
-     dune exec bench/main.exe bdd             -- BDD manager kernels + JSON
-                                                 (BENCH_bdd.json / $BENCH_BDD_OUT)
+     dune exec bench/main.exe extension       -- other serial-prefix shapes
      dune exec bench/main.exe egraph          -- portfolio vs each fixed
                                                  optimizer on the fast subset
                                                  minus C432, per-arm costs +
                                                  winner-BLIF md5, all-Det JSON
                                                  (BENCH_egraph.json /
                                                   $BENCH_EGRAPH_OUT)
-     dune exec bench/main.exe profile         -- per-phase wall-clock breakdown
      dune exec bench/main.exe par             -- parallel-runtime scaling + JSON
                                                  (BENCH_par.json / $BENCH_PAR_OUT,
                                                   domain counts: $BENCH_PAR_JOBS)
@@ -33,27 +35,19 @@
                                                  (BENCH_sat.json /
                                                   $BENCH_SAT_OUT; knob:
                                                   $BENCH_SAT_MITERS)
-     dune exec bench/main.exe serve           -- load-bench the job server:
-                                                 mixed clean/faulted jobs over
-                                                 one socket, p50/p95/p99 + a
-                                                 warm-vs-cold identity sample
-                                                 (BENCH_serve.json /
-                                                  $BENCH_SERVE_OUT; knobs:
-                                                  $BENCH_SERVE_JOBS,
-                                                  $BENCH_SERVE_WINDOW,
-                                                  $BENCH_SERVE_FAULT_EVERY)
      dune exec bench/main.exe obs             -- telemetry cost + journal
                                                  determinism: engine runs with
                                                  journaling off vs on (+ live
                                                  Metrics scrapes), then the
                                                  journal Det digest across
                                                  -j 1/4 and warm/cold
-                                                 (BENCH_obs.json /
-                                                  $BENCH_OBS_OUT; knobs:
-                                                  $BENCH_OBS_JOBS,
-                                                  $BENCH_OBS_ID_JOBS,
-                                                  $BENCH_OBS_REPS)
-     dune exec bench/main.exe all             -- everything (fast table2)
+                                                 (BENCH_obs.json / $BENCH_OBS_OUT)
+     dune exec bench/main.exe all             -- table1 + table2 + ablation
+     dune exec bench/main.exe all-full        -- table1 + table2-full +
+                                                 ablation + extension
+
+   par, incr, sat, obs and egraph exit non-zero when their own checks
+   fail (see each target); an unknown target exits 2 before any runs.
 
    Observation (lib/obs) plumbing:
      --stats / --report FILE / --trace FILE   -- record counters + phase spans
@@ -341,139 +335,8 @@ let extension () =
     cases;
   print_newline ()
 
-(* ------------------------------------------------------------------ *)
-(* BDD manager benchmarks: bechamel micro-kernels for ite / compose /  *)
-(* satcount plus single-shot end-to-end timings, emitted as JSON       *)
-(* (BENCH_bdd.json, or $BENCH_BDD_OUT) so the perf trajectory is       *)
-(* machine-readable across PRs. bench/check_regression.sh gates on it. *)
-(* ------------------------------------------------------------------ *)
-
-let run_bechamel tests =
-  let open Bechamel in
-  let cfg =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 5.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  List.sort compare
-    (List.filter_map
-       (fun (name, r) ->
-         match Analyze.OLS.estimates r with
-         | Some [ est ] -> Some (name, est)
-         | Some _ | None -> None)
-       rows)
-
 (* All bench wall-clocks go through the one shared monotonic clock. *)
 let wall f = snd (Obs.time f)
-
-let bdd_bench () =
-  let open Bechamel in
-  let rca8 = Circuits.Adders.ripple_carry 8 in
-  let net_rca8 = Network.of_aig ~k:6 rca8 in
-  let c432 = Circuits.Suite.build "C432" in
-  let net_c432 = Network.of_aig ~k:6 c432 in
-  let tests =
-    Test.make_grouped ~name:"bdd"
-      [
-        (* ite: the xor ladder keeps every recursion distinct, the
-           conjunction layer adds non-trivial triples. *)
-        Test.make ~name:"ite/xor-ladder-24"
-          (Staged.stage (fun () ->
-               let man = Bdd.create () in
-               let acc = ref (Bdd.bfalse man) in
-               for i = 0 to 23 do
-                 acc := Bdd.bxor man !acc (Bdd.var man i)
-               done;
-               let f = ref (Bdd.btrue man) in
-               for i = 0 to 22 do
-                 f :=
-                   Bdd.band man !f
-                     (Bdd.bor man (Bdd.var man i)
-                        (Bdd.bnot man (Bdd.var man (i + 1))))
-               done;
-               ignore (Bdd.band man !acc !f)));
-        (* ite via apply_tt: global functions of the clustered adder. *)
-        Test.make ~name:"ite/globals-adder8"
-          (Staged.stage (fun () ->
-               let man = Bdd.create () in
-               ignore (Network.Globals.of_net man net_rca8)));
-        Test.make ~name:"compose/carry-substitute"
-          (Staged.stage (fun () ->
-               let man = Bdd.create () in
-               (* Ripple carry c16 over g/p vars, then substitute the
-                  middle variable by a deep function. *)
-               let c = ref (Bdd.var man 0) in
-               for i = 0 to 15 do
-                 let g = Bdd.var man (1 + (2 * i)) in
-                 let p = Bdd.var man (2 + (2 * i)) in
-                 c := Bdd.bor man g (Bdd.band man p !c)
-               done;
-               let deep =
-                 Bdd.bxor man (Bdd.var man 33)
-                   (Bdd.band man (Bdd.var man 34) (Bdd.var man 35))
-               in
-               ignore (Bdd.compose man !c 16 deep)));
-        Test.make ~name:"satcount/adder8-globals"
-          (Staged.stage (fun () ->
-               let man = Bdd.create () in
-               let globals = Network.Globals.of_net man net_rca8 in
-               let nvars = Network.num_inputs net_rca8 in
-               List.iter
-                 (fun (o : Network.output) ->
-                   ignore
-                     (Bdd.satcount man ~nvars globals.(o.Network.node)))
-                 (Network.outputs net_rca8)));
-      ]
-  in
-  print_endline "== BDD micro-kernels (ns/run) ==";
-  let micro = run_bechamel tests in
-  List.iter
-    (fun (name, est) ->
-      Printf.printf "%-32s %12.0f ns  (%.3f s)\n" name est (est /. 1e9))
-    micro;
-  print_newline ();
-  print_endline "== BDD end-to-end (wall-clock seconds) ==";
-  let e2e =
-    [
-      ("globals-C432", wall (fun () -> Network.Globals.of_net (Bdd.create ()) net_c432));
-      ("lookahead-adder8", wall (fun () -> Lookahead.optimize rca8));
-      ("table1", wall table1);
-    ]
-  in
-  List.iter (fun (name, s) -> Printf.printf "%-32s %10.3f s\n" name s) e2e;
-  print_newline ();
-  let out =
-    match Sys.getenv_opt "BENCH_BDD_OUT" with
-    | Some p -> p
-    | None -> "BENCH_bdd.json"
-  in
-  let oc = open_out out in
-  Printf.fprintf oc "{\n  \"schema\": \"bdd-bench/v1\",\n  \"micro\": [\n";
-  let rec emit fmt = function
-    | [] -> ()
-    | [ x ] -> Printf.fprintf oc "%s\n" (fmt x)
-    | x :: rest ->
-      Printf.fprintf oc "%s,\n" (fmt x);
-      emit fmt rest
-  in
-  emit
-    (fun (name, est) ->
-      Printf.sprintf "    {\"name\": \"%s\", \"ns_per_run\": %.1f}" name est)
-    micro;
-  Printf.fprintf oc "  ],\n  \"end_to_end\": [\n";
-  emit
-    (fun (name, s) ->
-      Printf.sprintf "    {\"name\": \"%s\", \"seconds\": %.3f}" name s)
-    e2e;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n\n" out
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-runtime scaling: re-run table1 + the table2 fast subset at  *)
@@ -615,8 +478,8 @@ let par_bench () =
 (* region engines (cached cones, incremental levels, Globals.update,    *)
 (* batched SPCF) against their from-scratch equivalents, on the Table 2 *)
 (* fast subset, with identical-result checks. Emitted as JSON           *)
-(* (BENCH_incr.json, or $BENCH_INCR_OUT); check_regression.sh gates on  *)
-(* identity and on incremental being no slower in total.                *)
+(* (BENCH_incr.json, or $BENCH_INCR_OUT); exits non-zero when a result  *)
+(* differs or incremental is slower in total (gate 3).                  *)
 (* ------------------------------------------------------------------ *)
 
 let incr_bench () =
@@ -825,6 +688,13 @@ let incr_bench () =
   if not all_same then begin
     prerr_endline "incr: incremental result differs from from-scratch";
     exit 1
+  end;
+  (* The engines exist to be faster, so parity is the floor. *)
+  if total_inc > total_scr then begin
+    Printf.eprintf
+      "incr: incremental total %.6f s slower than from-scratch %.6f s\n"
+      total_inc total_scr;
+    exit 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -841,9 +711,9 @@ let incr_bench () =
 
    Seed baselines were measured at commit 0f72870 (the pre-arena
    solver) on the reference container with this exact workload. The
-   md5s are portable; the seconds are indicative — gate 8 only
-   requires the miter total to stay under the seed total, which leaves
-   a multiple-fold margin for a slower host. *)
+   md5s are portable; the seconds are indicative — the bench only
+   requires the miter total to stay under the seed total (0 % slack),
+   which leaves a multiple-fold margin for a slower host. *)
 let sat_sweep_seed =
   [
     ("dalu", 0.0233, "6ebd418a26fff74d8d6635ae960001a8");
@@ -1084,99 +954,19 @@ let sat_bench () =
     total_deleted all_match;
   close_out oc;
   Printf.printf "wrote %s\n\n" out;
+  if miter_s > miter_base_s then begin
+    Printf.eprintf "bench sat: miter total %.6f s exceeds seed %.6f s\n"
+      miter_s miter_base_s;
+    incr failures
+  end;
+  if total_reductions = 0 then begin
+    prerr_endline "bench sat: no clause-database reductions fired";
+    incr failures
+  end;
   if !failures > 0 then begin
     Printf.eprintf "bench sat: %d failure(s)\n" !failures;
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test per table / kernel.             *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  let open Bechamel in
-  let rca8 = Circuits.Adders.ripple_carry 8 in
-  let c432 = Circuits.Suite.build "C432" in
-  let c1908 = Circuits.Suite.build "C1908" in
-  let tests =
-    Test.make_grouped ~name:"tables"
-      [
-        (* Table 1 kernel: lookahead optimization of the adder. *)
-        Test.make ~name:"table1/lookahead-adder8"
-          (Staged.stage (fun () -> ignore (Lookahead.optimize rca8)));
-        Test.make ~name:"table1/dc-adder8"
-          (Staged.stage (fun () -> ignore (Baselines.dc_like rca8)));
-        (* Table 2 kernels: one control and one ECC circuit. *)
-        Test.make ~name:"table2/lookahead-C432"
-          (Staged.stage (fun () -> ignore (Lookahead.optimize c432)));
-        Test.make ~name:"table2/abc-C1908"
-          (Staged.stage (fun () -> ignore (Baselines.abc_like c1908)));
-        Test.make ~name:"table2/techmap-C432"
-          (Staged.stage (fun () ->
-               ignore (Techmap.Mapper.delay (Techmap.Mapper.map c432))));
-        Test.make ~name:"table2/cec-C432"
-          (Staged.stage (fun () -> ignore (Aig.Cec.equivalent c432 c432)));
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 10.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "== Bechamel kernels (ns/run) ==";
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ est ] ->
-        Printf.printf "%-32s %12.0f ns  (%.3f s)\n" name est (est /. 1e9)
-      | Some _ | None -> Printf.printf "%-32s (no estimate)\n" name)
-    (List.sort compare rows);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Per-phase wall-clock breakdown of the Table 2 fast subset: which of  *)
-(* the four tools, the CEC checks, and the mapper dominate each row.    *)
-(* ------------------------------------------------------------------ *)
-
-let profile () =
-  Printf.printf "== per-phase wall-clock (seconds), Table 2 fast subset ==\n";
-  Printf.printf "%-24s %8s %8s %8s %8s %8s %8s\n%!" "circuit" "SIS" "ABC" "DC"
-    "Lookahd" "cec" "map";
-  let timed = Obs.time in
-  let totals = Array.make 6 0.0 in
-  List.iter
-    (fun name ->
-      let g = Circuits.Suite.build name in
-      let outs =
-        List.mapi
-          (fun i (_, f) ->
-            let o, t = timed (fun () -> f g) in
-            totals.(i) <- totals.(i) +. t;
-            (o, t))
-          tools
-      in
-      let _, t_cec =
-        timed (fun () ->
-            List.iter (fun (o, _) -> assert (Aig.Cec.equivalent g o)) outs)
-      in
-      let _, t_map =
-        timed (fun () -> List.iter (fun (o, _) -> ignore (measure o)) outs)
-      in
-      totals.(4) <- totals.(4) +. t_cec;
-      totals.(5) <- totals.(5) +. t_map;
-      Printf.printf "%-24s" name;
-      List.iter (fun (_, t) -> Printf.printf " %8.1f" t) outs;
-      Printf.printf " %8.1f %8.1f\n%!" t_cec t_map)
-    fast_subset;
-  Printf.printf "%-24s" "TOTAL";
-  Array.iter (fun t -> Printf.printf " %8.1f" t) totals;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Observation-report validators: check_regression.sh gate 4 runs the  *)
@@ -1532,230 +1322,23 @@ let check_journal path =
     (List.length lines) (Hashtbl.length kinds)
 
 (* ------------------------------------------------------------------- *)
-(* serve: load-bench the persistent job server (lib/serve). An          *)
-(* in-process server on a temp Unix socket receives a deterministic mix *)
-(* of jobs — every BENCH_SERVE_FAULT_EVERY-th one with a tiny node      *)
-(* budget and an armed injection, so degrading tenants share the queue  *)
-(* with healthy ones — submitted over one connection with a bounded     *)
-(* window of outstanding jobs. Per-job latency (submit sent → result    *)
-(* received) feeds p50/p95/p99 per class; afterwards a warm-vs-cold     *)
-(* identity sample reruns a few specs through Engine.run_cold and       *)
-(* requires byte-identical BLIF and deterministic report subtrees.      *)
-(* JSON to BENCH_serve.json (or $BENCH_SERVE_OUT); check_regression.sh  *)
-(* gate 7 requires completion, identity, and bounded clean p95.         *)
+(* obs: telemetry cost + journal determinism. A clean/faulted adder    *)
+(* job mix runs through an in-process engine twice per rep — journaling *)
+(* off vs journaling to a file with periodic metrics scrapes — and the  *)
+(* min-of-reps walls give the enabled overhead, bounded at 3 %. Then    *)
+(* the journal's Det digest (order-insensitive hash of every Det        *)
+(* payload) is required to be identical warm -j1 / warm -j4 / cold -j1. *)
+(* JSON to BENCH_obs.json (or $BENCH_OBS_OUT); exits non-zero on any    *)
+(* violation (gate 9).                                                  *)
 (* ------------------------------------------------------------------- *)
 
-let serve_bench () =
-  let module Msg = Serve.Msg in
-  let env_int name default =
-    match Sys.getenv_opt name with
-    | None -> default
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some v when v > 0 -> v
-      | _ -> fail "bench serve: %s='%s' is not a positive int" name s)
-  in
-  let njobs = env_int "BENCH_SERVE_JOBS" 220 in
-  let window = env_int "BENCH_SERVE_WINDOW" 16 in
-  let fault_every = env_int "BENCH_SERVE_FAULT_EVERY" 10 in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lookahead_serve_bench_%d.sock" (Unix.getpid ()))
-  in
-  (* The job mix is a pure function of the index: seven size classes
-     cycling through the adder generators, with every fault_every-th job
-     running under a deliberately blown budget plus an armed injection. *)
-  let faulted i = i mod fault_every = fault_every - 1 in
-  let spec_of i =
-    let kind, bits =
-      match i mod 7 with
-      | 0 -> ("ripple", 8)
-      | 1 -> ("cla", 8)
-      | 2 -> ("cla", 12)
-      | 3 -> ("select", 8)
-      | 4 -> ("cla", 16)
-      | 5 -> ("select", 12)
-      | _ -> ("select", 16)
-    in
-    let base =
-      Msg.submit_defaults ~source:(Msg.Adder { kind; bits }) ~tool:"lookahead"
-    in
-    (* --time-limit 0: identity across runs must not depend on a
-       wall-clock deadline cut. *)
-    let base = { base with Msg.time_limit_s = Some 0.0 } in
-    if faulted i then
-      {
-        base with
-        Msg.inject = Some "bdd@200:r";
-        budget = { Msg.default_budget with Msg.bdd_node_ceiling = 30_000 };
-      }
-    else base
-  in
-  let now () = Guard.Clock.now_s () in
-  let listening = Atomic.make false in
-  let server =
-    Domain.spawn (fun () ->
-        Serve.Server.run
-          ~ready:(fun () -> Atomic.set listening true)
-          {
-            (Serve.Server.default_config (`Unix sock)) with
-            Serve.Server.queue_capacity = njobs + window;
-          })
-  in
-  while not (Atomic.get listening) do
-    Unix.sleepf 0.005
-  done;
-  let c = Serve.Client.connect (`Unix sock) in
-  (* Windowed submission: keep [window] jobs in flight, match Submitted
-     replies to sends in FIFO order (the server answers in order),
-     stamp each result against its submit time. *)
-  let lat_ms = Array.make njobs nan in
-  let completed = Array.make njobs false in
-  let pending : (int * float) Queue.t = Queue.create () in
-  let id2job = Hashtbl.create 64 in
-  let sent = ref 0 in
-  let finished = ref 0 in
-  let t0 = now () in
-  let send_one () =
-    Queue.add (!sent, now ()) pending;
-    Serve.Client.send c (Msg.Submit (spec_of !sent));
-    incr sent
-  in
-  while !finished < njobs do
-    while !sent < njobs && !sent - !finished < window do
-      send_one ()
-    done;
-    match Serve.Client.recv c with
-    | Msg.Submitted { id; _ } -> Hashtbl.replace id2job id (Queue.pop pending)
-    | Msg.Result r ->
-      let i, t_send = Hashtbl.find id2job r.Msg.id in
-      lat_ms.(i) <- (now () -. t_send) *. 1e3;
-      completed.(i) <- r.Msg.state = Msg.Done;
-      incr finished
-    | Msg.Error_reply { code; message } ->
-      fail "bench serve: server error (%s): %s" code message
-    | _ -> ()
-  done;
-  let wall_s = now () -. t0 in
-  let all_completed = Array.for_all Fun.id completed in
-  (* Warm-vs-cold identity: the server is idle now, so Engine.run_cold
-     (a fresh-build, fresh-manager, Obs.reset run — the library image of
-     one bin/lookahead_opt invocation) may share the process. Each
-     sample must match the warm server byte-for-byte: BLIF text, Table-2
-     metrics, and the deterministic report subtree. *)
-  let identity_samples = [ 0; 4; fault_every - 1 ] in
-  let identical =
-    List.for_all
-      (fun i ->
-        let spec =
-          { (spec_of i) with Msg.want_blif = true; want_report = true }
-        in
-        let _, warm = Serve.Client.submit_wait c spec in
-        let cold = Serve.Engine.run_cold spec in
-        let det r =
-          match r.Msg.report with
-          | Some j -> Obs.det_subtree j
-          | None -> Obs.Json.Null
-        in
-        let same =
-          warm.Msg.state = Msg.Done
-          && cold.Msg.state = Msg.Done
-          && warm.Msg.blif = cold.Msg.blif
-          && warm.Msg.metrics = cold.Msg.metrics
-          && warm.Msg.degraded = cold.Msg.degraded
-          && det warm <> Obs.Json.Null
-          && Obs.Json.equal (det warm) (det cold)
-        in
-        if not same then
-          Printf.eprintf
-            "bench serve: warm/cold mismatch on job class %d (%s)\n" i
-            (Msg.source_name (spec_of i).Msg.source);
-        same)
-      identity_samples
-  in
-  Serve.Client.shutdown c;
-  Serve.Client.close c;
-  Domain.join server;
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then nan else sorted.(min (n - 1) (p * n / 100))
-  in
-  let class_stats sel =
-    let xs =
-      Array.of_list
-        (List.filter_map
-           (fun i -> if sel i then Some lat_ms.(i) else None)
-           (List.init njobs Fun.id))
-    in
-    Array.sort compare xs;
-    Printf.sprintf
-      "{ \"count\": %d, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": \
-       %.3f, \"max_ms\": %.3f }"
-      (Array.length xs) (percentile xs 50) (percentile xs 95)
-      (percentile xs 99)
-      (if Array.length xs = 0 then nan else xs.(Array.length xs - 1))
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_SERVE_OUT" with
-    | Some p -> p
-    | None -> "BENCH_serve.json"
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"lookahead-bench-serve/1\",\n\
-    \  \"jobs\": %d,\n\
-    \  \"window\": %d,\n\
-    \  \"fault_every\": %d,\n\
-    \  \"wall_s\": %.3f,\n\
-    \  \"throughput_jobs_per_s\": %.2f,\n\
-    \  \"all_completed\": %b,\n\
-    \  \"clean\": %s,\n\
-    \  \"faulted\": %s,\n\
-    \  \"identity\": { \"samples\": %d, \"all_identical\": %b }\n\
-     }\n"
-    njobs window fault_every wall_s
-    (float_of_int njobs /. wall_s)
-    all_completed
-    (class_stats (fun i -> not (faulted i)))
-    (class_stats faulted)
-    (List.length identity_samples)
-    identical;
-  close_out oc;
-  Printf.printf "serve: %d jobs in %.2fs (%.1f jobs/s), window %d -> %s\n%!"
-    njobs wall_s
-    (float_of_int njobs /. wall_s)
-    window out;
-  if not all_completed then fail "bench serve: not every job completed";
-  if not identical then
-    fail "bench serve: warm server diverged from cold runs"
-
-(* ------------------------------------------------------------------- *)
-(* obs: telemetry cost + journal determinism. The same clean/faulted    *)
-(* job mix as the serve bench runs through an in-process engine twice   *)
-(* per rep — journaling off vs journaling to a file with periodic       *)
-(* metrics scrapes — and the min-of-reps walls give the enabled         *)
-(* overhead. Then the journal's Det digest (order-insensitive hash of   *)
-(* every Det payload) is required to be identical warm -j1 / warm -j4 / *)
-(* cold -j1. JSON to BENCH_obs.json (or $BENCH_OBS_OUT);                *)
-(* check_regression.sh gate 9 bounds the overhead and requires the      *)
-(* identity.                                                            *)
-(* ------------------------------------------------------------------- *)
+(* Production telemetry must be near-free: enabled journaling plus
+   scrapes may cost at most this share of the disabled wall. *)
+let obs_overhead_limit_pct = 3.0
 
 let obs_bench () =
   let module Msg = Serve.Msg in
-  let env_int name default =
-    match Sys.getenv_opt name with
-    | None -> default
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some v when v > 0 -> v
-      | _ -> fail "bench obs: %s='%s' is not a positive int" name s)
-  in
-  let njobs = env_int "BENCH_OBS_JOBS" 28 in
-  let id_jobs = env_int "BENCH_OBS_ID_JOBS" 14 in
-  let reps = env_int "BENCH_OBS_REPS" 2 in
+  let njobs = 28 and id_jobs = 14 and reps = 2 in
   let fault_every = 10 in
   let faulted i = i mod fault_every = fault_every - 1 in
   let spec_of i =
@@ -1796,7 +1379,7 @@ let obs_bench () =
             if result.Msg.state <> Msg.Done then all_completed := false;
             Atomic.incr ndone
           | Serve.Engine.Job_progress _ -> ())
-        { Serve.Engine.queue_capacity = n + 4; reuse_managers = true }
+        { Serve.Engine.queue_capacity = n + 4 }
     in
     Serve.Engine.start engine;
     let t0 = Guard.Clock.now_s () in
@@ -1911,7 +1494,10 @@ let obs_bench () =
     out;
   if not !all_completed then fail "bench obs: not every job completed";
   if not identical then
-    fail "bench obs: journal Det digest diverged across -j / warm-cold"
+    fail "bench obs: journal Det digest diverged across -j / warm-cold";
+  if overhead_pct > obs_overhead_limit_pct then
+    fail "bench obs: enabled telemetry costs %.2f%% (> %.0f%%)" overhead_pct
+      obs_overhead_limit_pct
 
 (* ------------------------------------------------------------------ *)
 (* E-graph bench: the portfolio against every fixed optimizer.         *)
@@ -2033,57 +1619,69 @@ let () =
   let args = Serve.Cli.strip_inject ~prog:"bench" args in
   Serve.Cli.setup_obs obs_flags;
   let finish_obs () = Serve.Cli.finish_obs obs_flags in
+  let table2_guard () =
+    (* Gate 5 workload: the fast subset minus C432 (the one circuit that
+       needs the anytime deadline), deadline disabled, meant to run with
+       --inject armed. Every governed blowup is then an injected one,
+       firing on per-job tick counts, so the report's Det subtree —
+       degradation rungs included — is comparable across -j. Each cell
+       CEC-asserts against its input, so the target completing IS the
+       completion + equivalence check. *)
+    if not (Guard.Inject.armed ()) then
+      prerr_endline
+        "bench: table2-guard: note: no --inject spec armed, running \
+         unfaulted";
+    table2 ~tools:tools_nolimit
+      ~names:(List.filter (fun n -> not (String.equal n "C432")) fast_subset)
+      ~full:false ()
+  in
+  let targets =
+    [
+      ("table1", fun () -> table1 ());
+      ("table2", fun () -> table2 ~full:false ());
+      ("table2-full", fun () -> table2 ~full:true ());
+      ("table2-guard", table2_guard);
+      ("ablation", ablation);
+      ("extension", extension);
+      ("par", par_bench);
+      ("incr", incr_bench);
+      ("sat", sat_bench);
+      ("obs", obs_bench);
+      ("egraph", egraph_bench);
+      ( "all",
+        fun () ->
+          table1 ();
+          table2 ~full:false ();
+          ablation () );
+      ( "all-full",
+        fun () ->
+          table1 ();
+          table2 ~full:true ();
+          ablation ();
+          extension () );
+    ]
+  in
   match args with
   | [ "check-report"; path ] -> check_report path
   | [ "check-trace"; path ] -> check_trace path
   | [ "check-exposition"; path ] -> check_exposition path
   | [ "check-journal"; path ] -> check_journal path
   | [ "compare-reports"; a; b ] -> compare_reports a b
-  | args ->
-  let args = if args = [] then [ "all" ] else args in
-  List.iter
-    (fun arg ->
-      match arg with
-      | "table1" -> table1 ()
-      | "table2" -> table2 ~full:false ()
-      | "table2-full" -> table2 ~full:true ()
-      | "table2-guard" ->
-        (* Gate 5 workload: the fast subset minus C432 (the one circuit
-           that needs the anytime deadline), deadline disabled, meant to
-           run with --inject armed. Every governed blowup is then an
-           injected one, firing on per-job tick counts, so the report's
-           Det subtree — degradation rungs included — is comparable
-           across -j. Each cell CEC-asserts against its input, so the
-           target completing IS the completion + equivalence check. *)
-        if not (Guard.Inject.armed ()) then
-          prerr_endline
-            "bench: table2-guard: note: no --inject spec armed, running \
-             unfaulted";
-        table2 ~tools:tools_nolimit
-          ~names:
-            (List.filter (fun n -> not (String.equal n "C432")) fast_subset)
-          ~full:false ()
-      | "ablation" -> ablation ()
-      | "extension" -> extension ()
-      | "bechamel" -> bechamel ()
-      | "bdd" -> bdd_bench ()
-      | "par" -> par_bench ()
-      | "incr" -> incr_bench ()
-      | "sat" -> sat_bench ()
-      | "serve" -> serve_bench ()
-      | "obs" -> obs_bench ()
-      | "egraph" -> egraph_bench ()
-      | "profile" -> profile ()
-      | "all" ->
-        table1 ();
-        table2 ~full:false ();
-        ablation ()
-      | "all-full" ->
-        table1 ();
-        table2 ~full:true ();
-        ablation ();
-        extension ();
-        bechamel ()
-      | other -> Printf.eprintf "unknown target %s\n" other)
-    args;
-  finish_obs ()
+  | args -> (
+    let args = if args = [] then [ "all" ] else args in
+    (* Validate the whole list first: a typo must not pass silently, nor
+       after the targets named before it have already run. A validator
+       with the wrong arity lands here too. *)
+    match List.filter (fun a -> not (List.mem_assoc a targets)) args with
+    | [] ->
+      List.iter (fun arg -> (List.assoc arg targets) ()) args;
+      finish_obs ()
+    | unknown ->
+      Printf.eprintf
+        "bench: unknown target(s): %s\n\
+         targets: %s\n\
+         validators: check-report FILE, check-trace FILE, check-exposition \
+         FILE, check-journal FILE, compare-reports A B\n"
+        (String.concat " " unknown)
+        (String.concat " " (List.map fst targets));
+      exit 2)

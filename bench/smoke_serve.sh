@@ -9,7 +9,8 @@
 # it to exit cleanly.
 #
 # This is the cheap always-on CI check; the full warm-vs-cold identity
-# and latency gates live in check_regression.sh (gates 7 and 9).
+# and telemetry gates live in check_regression.sh (gates 7 and 9), and
+# served latency is measured by perfbench's serve_mix workload.
 set -eu
 
 cd "$(dirname "$0")/.."

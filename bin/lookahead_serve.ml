@@ -2,7 +2,9 @@
    server, the remaining subcommands are a thin client over the framed
    JSON protocol (lib/serve). A [submit] with [--report]/[-o] writes
    files byte-identical to a cold [lookahead_opt opt] run of the same
-   job — that identity is enforced by bench/check_regression.sh. *)
+   job — gate 7 of bench/check_regression.sh enforces that identity;
+   served throughput and latency are measured by perfbench's serve_mix
+   workload. *)
 
 open Cmdliner
 module Cli = Serve.Cli
@@ -41,14 +43,6 @@ let run_cmd =
       & info [ "max-frame" ] ~docv:"BYTES"
           ~doc:"Largest accepted request frame.")
   in
-  let no_reuse =
-    Arg.(
-      value & flag
-      & info [ "no-reuse" ]
-          ~doc:
-            "Disable warm state (BDD manager recycling and circuit \
-             interning); every job then runs as cold as the one-shot CLI.")
-  in
   let journal =
     Arg.(
       value
@@ -76,8 +70,8 @@ let run_cmd =
              objective (milliseconds) count as SLO breaches in $(b,stats), \
              $(b,metrics) and $(b,top).")
   in
-  let run socket tcp queue max_frame no_reuse journal journal_max_bytes slo
-      jobs verbose =
+  let run socket tcp queue max_frame journal journal_max_bytes slo jobs verbose
+      =
     Cli.setup_logs verbose;
     Cli.setup_jobs jobs;
     let slo =
@@ -99,7 +93,6 @@ let run_cmd =
         Serve.Server.listen;
         queue_capacity = queue;
         max_frame;
-        reuse_managers = not no_reuse;
         journal;
         journal_max_bytes;
         slo;
@@ -108,8 +101,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run the persistent synthesis job server.")
     Term.(
-      const run $ socket_arg $ tcp_arg $ queue $ max_frame $ no_reuse
-      $ journal $ journal_max_bytes $ slo $ Cli.jobs_term $ verbose_arg)
+      const run $ socket_arg $ tcp_arg $ queue $ max_frame $ journal
+      $ journal_max_bytes $ slo $ Cli.jobs_term $ verbose_arg)
 
 let submit_cmd =
   let tool =

@@ -1,6 +1,6 @@
 (** Blocking client for the {!Server} protocol: one connection, one
-    tenant. Used by [lookahead_serve submit/...], the load bench and
-    the tests; not thread-safe — one domain per client. *)
+    tenant. Used by [lookahead_serve submit/...] and the tests; not
+    thread-safe — one domain per client. *)
 
 type t
 

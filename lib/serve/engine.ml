@@ -5,12 +5,9 @@
    managers, the enabled Obs runtime) is invisible in results by
    construction. *)
 
-type config = {
-  queue_capacity : int;
-  reuse_managers : bool;
-}
+type config = { queue_capacity : int }
 
-let default_config = { queue_capacity = 256; reuse_managers = true }
+let default_config = { queue_capacity = 256 }
 
 type event =
   | Job_done of { tenant : int; result : Msg.result }
@@ -191,8 +188,10 @@ let journal_admitted (spec : Msg.submit) =
 (* The cold-CLI operation sequence, verbatim: arm injection, reset
    observation, load, optimize, measure, snapshot, serialize. Returns a
    finished result (state Done/Failed/Cancelled) together with the
-   job's Obs snapshot (when one was taken) and its size class. *)
-let execute_ex ~intern ~reuse ~id ~trace (spec : Msg.submit) ~rules
+   job's Obs snapshot (when one was taken) and its size class. [intern]
+   is the warm state: [Some] table for executor jobs, which also recycle
+   their BDD managers, [None] for a cold run. *)
+let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
     ~cancel_handle ~wait_ns =
   let t0 = Guard.Clock.now_ns () in
   (match rules with
@@ -264,7 +263,7 @@ let execute_ex ~intern ~reuse ~id ~trace (spec : Msg.submit) ~rules
         time_limit_s = bound;
         guard_budget = guard_budget_of spec.budget;
         deadline = Some deadline;
-        reuse_managers = reuse;
+        reuse_managers = Option.is_some intern;
       }
     in
     let optimized = Run.tool ~options spec.tool g in
@@ -315,7 +314,7 @@ let run_cold spec =
   | Ok rules ->
     journal_admitted spec;
     let r, _, _ =
-      execute_ex ~intern:None ~reuse:false ~id:0
+      execute_ex ~intern:None ~id:0
         ~trace:(trace_of ~tenant:0 ~id:0) spec ~rules
         ~cancel_handle:(Guard.Deadline.cancellable ()) ~wait_ns:0L
     in
@@ -367,8 +366,7 @@ let rec executor_loop t =
       end;
       let result, snap, cls =
         execute_ex
-          ~intern:(Some t.intern)
-          ~reuse:t.config.reuse_managers ~id:job.id ~trace:job.trace job.spec
+          ~intern:(Some t.intern) ~id:job.id ~trace:job.trace job.spec
           ~rules:job.rules ~cancel_handle:job.cancel_handle ~wait_ns
       in
       Atomic.set t.current None;

@@ -12,9 +12,9 @@
     {b Warm state.} Generated circuits ([Named]/[Adder] sources) are
     interned in a process-level table (generation is deterministic and
     the optimizer never mutates its input, so sharing is
-    identity-safe); BDD managers recycle through {!Bdd.Pool} when
-    [reuse_managers] is set; [Obs] stays enabled across jobs with
-    per-job [reset].
+    identity-safe); every job's BDD managers recycle through
+    {!Bdd.Pool}; [Obs] stays enabled across jobs with per-job [reset].
+    {!run_cold} is the one path without warm state.
 
     {b Tenancy.} Every job belongs to a tenant (the server uses the
     connection id). Budgets and deadlines are per-job {!Guard}
@@ -25,7 +25,6 @@
 
 type config = {
   queue_capacity : int;  (** queued (not yet running) job bound *)
-  reuse_managers : bool;  (** recycle BDD managers through {!Bdd.Pool} *)
 }
 
 val default_config : config

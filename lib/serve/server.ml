@@ -13,7 +13,6 @@ type config = {
   listen : listen;
   queue_capacity : int;
   max_frame : int;
-  reuse_managers : bool;
   journal : string option;
   journal_max_bytes : int;
   slo : (string * float) list;
@@ -24,7 +23,6 @@ let default_config listen =
     listen;
     queue_capacity = 256;
     max_frame = Frame.max_frame_default;
-    reuse_managers = true;
     journal = None;
     journal_max_bytes = 8 * 1024 * 1024;
     slo = [];
@@ -256,10 +254,7 @@ let run ?(ready = fun () -> ()) config =
         | Engine.Job_progress { tenant; id; phase; seq } ->
           post st tenant (Msg.Progress { id; phase; seq }))
       ~slo:config.slo
-      {
-        Engine.queue_capacity = config.queue_capacity;
-        reuse_managers = config.reuse_managers;
-      }
+      { Engine.queue_capacity = config.queue_capacity }
   in
   st.engine <- Some engine;
   Engine.start engine;

@@ -18,7 +18,6 @@ type config = {
   listen : listen;
   queue_capacity : int;
   max_frame : int;
-  reuse_managers : bool;
   journal : string option;
       (** JSONL journal file ({!Obs.Journal}); [None] = journaling off *)
   journal_max_bytes : int;  (** file-sink rotation threshold *)

@@ -21,8 +21,7 @@ type t
 val create : ?slo:(string * float) list -> ?window:int -> unit -> t
 
 (** The five job size classes by reachable AND-gate count:
-    [xs] < 64, [s] < 256, [m] < 1024, [l] < 4096, [xl] otherwise —
-    the [BENCH_serve.json] workload mix spans all of them. *)
+    [xs] < 64, [s] < 256, [m] < 1024, [l] < 4096, [xl] otherwise. *)
 val size_class : gates:int -> string
 
 val size_classes : string list

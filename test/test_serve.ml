@@ -1,8 +1,8 @@
 (* Tests for lib/serve: protocol framing (partial reads, oversized and
    corrupt frames), codec totality, cancellable deadlines, BDD manager
    recycling (Bdd.reset / Bdd.Pool), per-job Obs.reset identity, the
-   job engine end to end, and the socket server including
-   disconnect-mid-job cancellation.
+   job engine end to end, and the socket server including pipelined
+   load and disconnect-mid-job cancellation.
 
    Every optimization runs deadline-free (time_limit_s = Some 0.) so
    results cannot depend on wall-clock scheduling — the same convention
@@ -484,6 +484,12 @@ let small_job =
     want_report = true;
   }
 
+(* The deterministic report subtree of a result, [Null] without one. *)
+let det (r : Msg.result) =
+  match r.Msg.report with
+  | Some j -> Obs.det_subtree j
+  | None -> Obs.Json.Null
+
 let test_engine_validation () =
   quiesce ();
   let e = Engine.create Engine.default_config in
@@ -515,9 +521,7 @@ let test_engine_validation () =
 
 let test_engine_queue_full () =
   quiesce ();
-  let e =
-    Engine.create { Engine.queue_capacity = 1; reuse_managers = false }
-  in
+  let e = Engine.create { Engine.queue_capacity = 1 } in
   (match Engine.submit e ~tenant:1 small_job with
   | Ok (id, 0) -> Alcotest.(check int) "first id" 1 id
   | _ -> Alcotest.fail "first submission must be admitted at position 0");
@@ -532,7 +536,7 @@ let test_engine_queued_cancel () =
      queued-job path deterministically *)
   let e =
     Engine.create ~on_event:(sink_push s)
-      { Engine.queue_capacity = 4; reuse_managers = false }
+      { Engine.queue_capacity = 4 }
   in
   let id =
     match Engine.submit e ~tenant:7 small_job with
@@ -558,7 +562,7 @@ let test_engine_warm_identity () =
   let s = sink () in
   let e =
     Engine.create ~on_event:(sink_push s)
-      { Engine.queue_capacity = 16; reuse_managers = true }
+      { Engine.queue_capacity = 16 }
   in
   Engine.start e;
   let submit spec =
@@ -593,11 +597,6 @@ let test_engine_warm_identity () =
   Alcotest.(check bool)
     "warm metrics identical to cold" true
     (r2.Msg.metrics = cold.Msg.metrics && r2.Msg.metrics <> None);
-  let det r =
-    match r.Msg.report with
-    | Some j -> Obs.det_subtree j
-    | None -> Obs.Json.Null
-  in
   Alcotest.(check bool) "reports present" true (det r2 <> Obs.Json.Null);
   Alcotest.(check bool)
     "warm Det subtrees identical across back-to-back jobs" true
@@ -626,7 +625,7 @@ let test_engine_faulted_warm_identity () =
   let s = sink () in
   let e =
     Engine.create ~on_event:(sink_push s)
-      { Engine.queue_capacity = 16; reuse_managers = true }
+      { Engine.queue_capacity = 16 }
   in
   Engine.start e;
   let id1 =
@@ -653,11 +652,6 @@ let test_engine_faulted_warm_identity () =
   Alcotest.(check bool)
     "clean job after a faulted one is unpolluted" true
     (r2.Msg.blif = cold_c.Msg.blif && not r2.Msg.degraded);
-  let det r =
-    match r.Msg.report with
-    | Some j -> Obs.det_subtree j
-    | None -> Obs.Json.Null
-  in
   Alcotest.(check bool)
     "faulted Det subtree identical warm vs cold" true
     (Obs.Json.equal (det r1) (det cold_f))
@@ -871,7 +865,7 @@ let test_trace_propagation () =
   let s = sink () in
   let e =
     Engine.create ~on_event:(sink_push s)
-      { Engine.queue_capacity = 4; reuse_managers = true }
+      { Engine.queue_capacity = 4 }
   in
   Obs.Journal.enable ();
   Engine.start e;
@@ -996,6 +990,77 @@ let test_server_end_to_end () =
       Serve.Client.send c Msg.Stats;
       ignore (Serve.Client.recv c);
       Serve.Client.close c)
+
+(* Served load: eight jobs pipelined on one socket before any reply is
+   read, every fourth one under a blown node ceiling with an armed
+   injection, so degrading jobs share the queue with healthy ones.
+   Every job must complete, exactly the faulted ones degrade, and a
+   clean and a faulted warm result must equal a cold run of the same
+   spec. *)
+let test_server_pipelined_load () =
+  let njobs = 8 in
+  let faulted i = i mod 4 = 3 in
+  let spec_of i =
+    let kind = [| "ripple"; "cla"; "select" |].(i mod 3) in
+    let base = { small_job with Msg.source = Msg.Adder { kind; bits = 6 } } in
+    if faulted i then
+      {
+        base with
+        Msg.inject = Some "bdd@200:r";
+        budget = { Msg.default_budget with Msg.bdd_node_ceiling = 30_000 };
+      }
+    else base
+  in
+  let warm =
+    with_server (fun sock ->
+        let c = Serve.Client.connect (`Unix sock) in
+        for i = 0 to njobs - 1 do
+          Serve.Client.send c (Msg.Submit (spec_of i))
+        done;
+        (* Submitted replies come in send order; results as jobs finish. *)
+        let next_job = ref 0 in
+        let job_of_id = Hashtbl.create njobs in
+        let results = Array.make njobs None in
+        let finished = ref 0 in
+        while !finished < njobs do
+          match Serve.Client.recv c with
+          | Msg.Submitted { id; _ } ->
+            Hashtbl.replace job_of_id id !next_job;
+            incr next_job
+          | Msg.Result r ->
+            results.(Hashtbl.find job_of_id r.Msg.id) <- Some r;
+            incr finished
+          | r ->
+            Alcotest.failf "unexpected reply %s"
+              (Obs.Json.to_string (Msg.response_to_json r))
+        done;
+        Serve.Client.close c;
+        Array.map Option.get results)
+  in
+  Array.iteri
+    (fun i (r : Msg.result) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d done" i)
+        true (r.Msg.state = Msg.Done);
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d degraded iff faulted" i)
+        (faulted i) r.Msg.degraded)
+    warm;
+  List.iter
+    (fun i ->
+      let cold = Engine.run_cold (spec_of i) in
+      let w = warm.(i) in
+      let what = Printf.sprintf "job %d warm vs cold: " i in
+      Alcotest.(check bool) (what ^ "BLIF") true
+        (w.Msg.blif = cold.Msg.blif && w.Msg.blif <> None);
+      Alcotest.(check bool) (what ^ "metrics") true
+        (w.Msg.metrics = cold.Msg.metrics && w.Msg.metrics <> None);
+      Alcotest.(check bool) (what ^ "degraded") cold.Msg.degraded
+        w.Msg.degraded;
+      Alcotest.(check bool) (what ^ "Det subtree") true
+        (det w <> Obs.Json.Null && Obs.Json.equal (det w) (det cold)))
+    [ 0; 3 ];
+  quiesce ()
 
 let test_server_disconnect_cancels () =
   with_server (fun sock ->
@@ -1122,6 +1187,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end" `Slow test_server_end_to_end;
+          Alcotest.test_case "pipelined load" `Slow
+            test_server_pipelined_load;
           Alcotest.test_case "disconnect cancels" `Slow
             test_server_disconnect_cancels;
         ] );
