@@ -8,7 +8,7 @@
 # subset, minus C432 and with the anytime deadline disabled so results
 # cannot depend on wall-clock scheduling, at several domain-pool sizes;
 # BENCH_PAR_JOBS overrides the sizes, default here "1 4" to keep the
-# gate affordable) and fails when
+# gate affordable; the list must include 1), which exits non-zero when
 # either (a) any -j N output is not bit-identical to the -j 1 output —
 # the lib/par determinism contract — or (b) the largest pool is more
 # than 25 % slower than -j 1, i.e. the parallel runtime's overhead
@@ -72,7 +72,9 @@
 # which exits non-zero unless every job completes, the journal file
 # validates, the journal's Det digest is identical across warm -j 1,
 # warm -j 4 and cold runs, and enabled telemetry costs at most 3 % of
-# the disabled baseline — production telemetry must be near-free.
+# the disabled baseline — production telemetry must be near-free. The
+# overhead is the median of five off/on pairs whose order alternates,
+# so neither side always runs on the warmer process.
 #
 # Gate 10 (egraph): the portfolio optimizer. Runs `bench/main.exe
 # egraph` (the deadline-free fast subset through every fixed arm and
@@ -129,44 +131,12 @@ trap 'rm -f "$par_fresh" "$incr_fresh" "$obs_r1" "$obs_r4" \
 
 if [ "${SKIP_PAR_GATE:-0}" = 1 ]; then
   echo "check_regression: par gate skipped (SKIP_PAR_GATE=1)"
+elif BENCH_PAR_OUT="$par_fresh" BENCH_PAR_JOBS="${BENCH_PAR_JOBS:-1 4}" \
+       dune exec bench/main.exe -- par; then
+  echo "check_regression: par gate OK"
 else
-  par_pct=25
-  # `bench par` exits non-zero itself when outputs differ across -j.
-  BENCH_PAR_OUT="$par_fresh" BENCH_PAR_JOBS="${BENCH_PAR_JOBS:-1 4}" \
-    dune exec bench/main.exe -- par
-
-  # Re-check identity from the JSON, and bound the parallel overhead:
-  # the largest pool must not be more than par_pct% slower than -j 1.
-  # sub() leaves strings, so both sides are coerced with + 0: compared
-  # as text, "100.100" sorts below "87.5".
-  par_verdict=$(awk -v p="$par_pct" '
-    /"jobs":/ {
-      j = $0;  sub(/.*"jobs": /, "", j);       sub(/[,} ].*/, "", j)
-      s = $0;  sub(/.*"seconds": /, "", s);    sub(/[,} ].*/, "", s)
-      id = $0; sub(/.*"identical": /, "", id); sub(/[,} ].*/, "", id)
-      if (id != "true") bad = 1
-      if (j == 1) base = s
-      last = s
-    }
-    END {
-      if (bad) { print "nondeterministic"; exit }
-      if (base == "" || last == "") { print "unparseable"; exit }
-      if (last + 0 > (base + 0) * (1 + p / 100.0)) { print "slow"; exit }
-      print "ok"
-    }' "$par_fresh")
-
-  case "$par_verdict" in
-    ok) echo "check_regression: par gate OK" ;;
-    nondeterministic)
-      echo "check_regression: FAIL — parallel output differs from -j 1" >&2
-      fail=1 ;;
-    slow)
-      echo "check_regression: FAIL — parallel run more than ${par_pct}% slower than -j 1" >&2
-      fail=1 ;;
-    *)
-      echo "check_regression: FAIL — could not parse $par_fresh" >&2
-      fail=1 ;;
-  esac
+  echo "check_regression: FAIL — parallel output differs from -j 1, or the largest pool is more than 25% slower" >&2
+  fail=1
 fi
 
 # ------------------------------------------------------------------

@@ -342,7 +342,9 @@ let wall f = snd (Obs.time f)
 (* Parallel-runtime scaling: re-run table1 + the table2 fast subset at  *)
 (* several domain-pool sizes, check the output is bit-identical to the  *)
 (* -j 1 run, and emit the wall-clocks as JSON (BENCH_par.json, or       *)
-(* $BENCH_PAR_OUT). bench/check_regression.sh gates on both properties. *)
+(* $BENCH_PAR_OUT). Exits 1 when an output differs or the largest pool  *)
+(* is more than [par_overhead_limit_pct] slower than -j 1 (gate 2), and *)
+(* 2 when $BENCH_PAR_JOBS is not a list of integers that includes 1.    *)
 (*                                                                      *)
 (* The workload runs with the lookahead anytime deadline disabled and   *)
 (* without C432 (see [tools_nolimit]): a deadline-cut result depends on *)
@@ -382,6 +384,10 @@ let with_captured_stdout f =
   Sys.remove tmp;
   text
 
+(* The parallel runtime's overhead bound: the largest pool may run at
+   most this much slower than -j 1. *)
+let par_overhead_limit_pct = 25.0
+
 let par_bench () =
   let jobs_list =
     match Sys.getenv_opt "BENCH_PAR_JOBS" with
@@ -394,10 +400,12 @@ let par_bench () =
       in
       let js = List.filter_map int_of_string_opt tokens in
       (* A typo'd list must not silently fall back to the full (and
-         expensive) default set. *)
-      if List.length js <> List.length tokens || js = [] then begin
+         expensive) default set, and every run is compared with -j 1. *)
+      if List.length js <> List.length tokens || not (List.mem 1 js) then begin
         Printf.eprintf
-          "bench par: BENCH_PAR_JOBS='%s' is not a list of integers\n" s;
+          "bench par: BENCH_PAR_JOBS='%s' is not a list of integers \
+           including 1\n"
+          s;
         exit 2
       end;
       js
@@ -424,11 +432,9 @@ let par_bench () =
       jobs_list
   in
   Par.set_default_jobs 0;
-  let _, base_dt, base_text =
-    match List.find_opt (fun (j, _, _) -> j = 1) runs with
-    | Some r -> r
-    | None -> List.hd runs
-  in
+  let _, base_dt, base_text = List.find (fun (j, _, _) -> j = 1) runs in
+  let top_j = List.fold_left max 1 jobs_list in
+  let _, top_dt, _ = List.find (fun (j, _, _) -> j = top_j) runs in
   let rows =
     List.map
       (fun (j, dt, text) -> (j, dt, String.equal text base_text))
@@ -470,6 +476,13 @@ let par_bench () =
   Printf.printf "wrote %s\n\n" out;
   if not (List.for_all (fun (_, _, same) -> same) rows) then begin
     prerr_endline "par: output differs across -j values";
+    exit 1
+  end;
+  if top_dt > base_dt *. (1.0 +. (par_overhead_limit_pct /. 100.0)) then begin
+    Printf.eprintf "par: -j %d took %.3f s, %+.1f%% against -j 1 (> %.0f%%)\n"
+      top_j top_dt
+      ((top_dt -. base_dt) /. base_dt *. 100.0)
+      par_overhead_limit_pct;
     exit 1
   end
 
@@ -1323,11 +1336,12 @@ let check_journal path =
 
 (* ------------------------------------------------------------------- *)
 (* obs: telemetry cost + journal determinism. A clean/faulted adder    *)
-(* job mix runs through an in-process engine twice per rep — journaling *)
-(* off vs journaling to a file with periodic metrics scrapes — and the  *)
-(* min-of-reps walls give the enabled overhead, bounded at 3 %. Then    *)
-(* the journal's Det digest (order-insensitive hash of every Det        *)
-(* payload) is required to be identical warm -j1 / warm -j4 / cold -j1. *)
+(* job mix runs through an in-process engine in five off/on pairs —    *)
+(* journaling off vs journaling to a file with periodic metrics        *)
+(* scrapes, the side that runs first alternating — and the median of   *)
+(* the per-pair overheads is bounded at 3 %. Then the journal's Det    *)
+(* digest (order-insensitive hash of every Det payload) is required to *)
+(* be identical warm -j1 / warm -j4 / cold -j1.                        *)
 (* JSON to BENCH_obs.json (or $BENCH_OBS_OUT); exits non-zero on any    *)
 (* violation (gate 9).                                                  *)
 (* ------------------------------------------------------------------- *)
@@ -1338,7 +1352,7 @@ let obs_overhead_limit_pct = 3.0
 
 let obs_bench () =
   let module Msg = Serve.Msg in
-  let njobs = 28 and id_jobs = 14 and reps = 2 in
+  let njobs = 28 and id_jobs = 14 and pairs = 5 in
   let fault_every = 10 in
   let faulted i = i mod fault_every = fault_every - 1 in
   let spec_of i =
@@ -1406,26 +1420,40 @@ let obs_bench () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "lookahead_obs_bench_%d.jsonl" (Unix.getpid ()))
   in
-  (* Warm the process (circuit generators, BDD pool, code paths) before
-     timing anything. *)
+  (* Warm the process (circuit generators, code paths) before timing
+     anything. *)
   ignore (run_engine ~scrape:false njobs);
-  let base_s = ref infinity and enab_s = ref infinity in
   let journal_events = ref 0 and journal_rotations = ref 0 in
-  for _ = 1 to reps do
-    Obs.Journal.disable ();
-    base_s := Float.min !base_s (run_engine ~scrape:false njobs);
+  let off () = run_engine ~scrape:false njobs in
+  let on () =
     Obs.Journal.enable ~file:journal_file ();
-    enab_s := Float.min !enab_s (run_engine ~scrape:true njobs);
+    let s = run_engine ~scrape:true njobs in
     journal_events := Obs.Journal.events_total ();
-    journal_rotations := Obs.Journal.rotations ()
-  done;
-  Obs.Journal.disable ();
+    journal_rotations := Obs.Journal.rotations ();
+    Obs.Journal.disable ();
+    s
+  in
+  (* Paired runs, the first side alternating: a later run in a process
+     tends to be faster, and a fixed order would charge that to one
+     side. *)
+  let runs =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let off_s = off () in
+          (off_s, on ())
+        else
+          let on_s = on () in
+          (off (), on_s))
+  in
   (try check_journal journal_file
    with e ->
      Sys.remove journal_file;
      raise e);
   Sys.remove journal_file;
-  let overhead_pct = (!enab_s -. !base_s) /. !base_s *. 100.0 in
+  let ratios_pct =
+    List.map (fun (off_s, on_s) -> (on_s -. off_s) /. off_s *. 100.0) runs
+  in
+  let overhead_pct = List.nth (List.sort compare ratios_pct) (pairs / 2) in
   (* Det-payload identity: the digest folds (count, sum, xor) over the
      FNV-1a of every Det payload, so it is independent of event order —
      the only thing domain count or warm state may change. *)
@@ -1465,11 +1493,9 @@ let obs_bench () =
   let oc = open_out out in
   Printf.fprintf oc
     "{\n\
-    \  \"schema\": \"lookahead-bench-obs/1\",\n\
+    \  \"schema\": \"lookahead-bench-obs/2\",\n\
     \  \"jobs\": %d,\n\
-    \  \"reps\": %d,\n\
-    \  \"baseline_s\": %.4f,\n\
-    \  \"enabled_s\": %.4f,\n\
+    \  \"pairs\": [%s],\n\
     \  \"overhead_pct\": %.2f,\n\
     \  \"journal\": { \"events\": %d, \"rotations\": %d },\n\
     \  \"identity\": {\n\
@@ -1481,15 +1507,24 @@ let obs_bench () =
     \  },\n\
     \  \"all_completed\": %b\n\
      }\n"
-    njobs reps !base_s !enab_s overhead_pct !journal_events
-    !journal_rotations id_jobs d_warm1 d_warm4 d_cold1 identical
-    !all_completed;
+    njobs
+    (String.concat ", "
+       (List.map2
+          (fun (off_s, on_s) r ->
+            Printf.sprintf
+              "{\"off_s\": %.4f, \"on_s\": %.4f, \"overhead_pct\": %.2f}"
+              off_s on_s r)
+          runs ratios_pct))
+    overhead_pct !journal_events !journal_rotations id_jobs d_warm1 d_warm4
+    d_cold1 identical !all_completed;
   close_out oc;
   Printf.printf
-    "obs: %d jobs x%d, journal off %.3fs / on %.3fs (%+.2f%%), digest %s \
-     -> %s\n\
+    "obs: %d jobs x%d pairs, journal on vs off %s, median %+.2f%%, digest \
+     %s -> %s\n\
      %!"
-    njobs reps !base_s !enab_s overhead_pct
+    njobs pairs
+    (String.concat " " (List.map (Printf.sprintf "%+.2f%%") ratios_pct))
+    overhead_pct
     (if identical then "identical" else "DIVERGED")
     out;
   if not !all_completed then fail "bench obs: not every job completed";

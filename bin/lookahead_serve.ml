@@ -278,8 +278,7 @@ let pp_stats ppf (s : Msg.server_stats) =
   Fmt.pf ppf "queued    : %d / %d@." s.Msg.queued s.Msg.queue_capacity;
   Fmt.pf ppf "running   : %b@." s.Msg.running;
   Fmt.pf ppf "uptime    : %.1f s@." s.Msg.uptime_s;
-  Fmt.pf ppf "warm      : %d circuits, %d managers@." s.Msg.interned_circuits
-    s.Msg.pooled_managers;
+  Fmt.pf ppf "warm      : %d circuits@." s.Msg.interned_circuits;
   pp_slo_table ppf s.Msg.slo
 
 let stats_cmd =

@@ -45,7 +45,9 @@ let blif_to_string ?model g =
   Buffer.contents buf
 
 let tokenize line =
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+  String.map (function '\t' -> ' ' | c -> c) line
+  |> String.split_on_char ' '
+  |> List.filter (fun s -> s <> "")
 
 (* Join BLIF continuation lines ending in backslash; strip comments. *)
 let logical_lines text =
@@ -80,6 +82,25 @@ let read_blif text =
     | Some t -> tables := t :: !tables; current := None
     | None -> ()
   in
+  (* A cube row needs one column per table input and a 0/1 output: a
+     short row would turn the missing inputs into don't-cares, and any
+     other output value would drop the row. *)
+  let add_row line pattern out =
+    match !current with
+    | None -> failwith "blif: cube row outside .names"
+    | Some t ->
+      let n = List.length t.inputs in
+      if String.length pattern <> n then
+        failwith
+          (Printf.sprintf
+             "blif: row %S of %s has %d input column(s), expected %d" line
+             t.output (String.length pattern) n);
+      if out <> "0" && out <> "1" then
+        failwith
+          (Printf.sprintf "blif: row %S of %s has output %S, expected 0 or 1"
+             line t.output out);
+      current := Some { t with rows = (pattern, out.[0]) :: t.rows }
+  in
   List.iter
     (fun line ->
       let toks = tokenize line in
@@ -98,17 +119,9 @@ let read_blif text =
       | [] -> ()
       | tok :: _ when String.length tok > 0 && tok.[0] = '.' ->
         failwith (Printf.sprintf "blif: unsupported construct %s" tok)
-      | [ pattern; out ] -> (
-        match !current with
-        | Some t when String.length out = 1 ->
-          current := Some { t with rows = (pattern, out.[0]) :: t.rows }
-        | _ -> failwith "blif: cube row outside .names")
-      | [ single ] -> (
-        (* Constant table row: "1" or "0" with no inputs. *)
-        match !current with
-        | Some t when t.inputs = [] ->
-          current := Some { t with rows = ("", single.[0]) :: t.rows }
-        | _ -> failwith "blif: malformed row")
+      | [ pattern; out ] -> add_row line pattern out
+      (* Constant table row: "1" or "0" with no inputs. *)
+      | [ out ] -> add_row line "" out
       | _ -> failwith "blif: malformed line")
     lines;
   finish ();

@@ -133,12 +133,11 @@ type man = {
   (* Resource governance: [ceiling] is the guard budget's hard node
      ceiling snapshot ([max_int] when unguarded), checked at the single
      allocation point so every public operation becomes cancellable. *)
-  mutable guard : Guard.t;
-  mutable ceiling : int;
+  guard : Guard.t;
+  ceiling : int;
 }
 
-let create ?(cache_size = 1 lsl 14) ?(guard = Guard.none) () =
-  let bits n = max 8 (int_of_float (ceil (log (float_of_int n) /. log 2.))) in
+let create ?(guard = Guard.none) () =
   let cap = 1024 in
   let var_ = Array.make cap 0 in
   var_.(0) <- max_int;
@@ -152,7 +151,7 @@ let create ?(cache_size = 1 lsl 14) ?(guard = Guard.none) () =
     unique_count = 0;
     unique_grows = 0;
     nvars = 0;
-    ite_cache = cache_create (min (bits cache_size) 20) 20;
+    ite_cache = cache_create 14 20;
     restrict_cache = cache_create 10 18;
     compose_cache = cache_create 10 18;
     apply_memo = Hashtbl.create 256;
@@ -171,8 +170,6 @@ let equal (a : t) (b : t) = a = b
 let is_false _ f = f = 1
 let is_true _ f = f = 0
 let num_vars man = man.nvars
-let allocated man = man.next
-let guard man = man.guard
 
 let[@inline] topvar man e = man.var_.(e lsr 1)
 
@@ -308,8 +305,6 @@ let ite man f g h =
 let band man f g = ite man f g 1
 let bor man f g = ite man f 0 g
 let bxor man f g = ite man f (g lxor 1) g
-let bimp man f g = ite man f g 0
-let beq man f g = ite man f g (g lxor 1)
 let implies man f g = ite man f g 0 = 0
 
 (* ------------------------------------------------------------------ *)
@@ -523,14 +518,6 @@ let support man f =
   go f;
   List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
 
-let pp man ppf f =
-  if f = 0 then Format.fprintf ppf "bdd:true"
-  else if f = 1 then Format.fprintf ppf "bdd:false"
-  else
-    Format.fprintf ppf "bdd:node(id=%d%s,var=%d,size=%d)" (f lsr 1)
-      (if f land 1 = 1 then "'" else "")
-      (topvar man f) (size man f)
-
 (* ------------------------------------------------------------------ *)
 (* Stats, cache control, invariants.                                   *)
 (* ------------------------------------------------------------------ *)
@@ -582,104 +569,9 @@ let clear_caches man =
   cache_clear man.compose_cache;
   Hashtbl.reset man.apply_memo;
   (* The satcount scratch is a per-node memo too: drop it (it rebuilds
-     lazily at full store size), so long-lived managers don't carry one
-     float per ever-allocated node across jobs. *)
+     lazily at full store size). *)
   man.sat_val <- [||];
   man.sat_done <- Bytes.empty
-
-(* Shrink-or-clear an op cache back to its creation capacity and zero
-   its counters. Capacity matters for identity, not just memory: these
-   caches are lossy, so a bigger table changes which lookups hit, and
-   hit counts are exported as Det metrics. *)
-let cache_reset c bits =
-  let n = 1 lsl bits in
-  if c.c_mask + 1 <> n then begin
-    c.c_k1 <- Array.make n (-1);
-    c.c_k2 <- Array.make n 0;
-    c.c_k3 <- Array.make n 0;
-    c.c_r <- Array.make n 0;
-    c.c_mask <- n - 1
-  end
-  else cache_clear c;
-  c.c_lookups <- 0;
-  c.c_hits <- 0;
-  c.c_inserts <- 0;
-  c.c_grows <- 0
-
-let reset ?(cache_size = 1 lsl 14) ?(guard = Guard.none) man =
-  let bits n = max 8 (int_of_float (ceil (log (float_of_int n) /. log 2.))) in
-  man.var_.(0) <- max_int;
-  man.next <- 1;
-  (* The unique table is exact, but its capacity feeds [unique_grows]
-     (a Det counter downstream), so it must restart at the creation
-     size; the node-store arrays have no observable capacity and stay
-     grown — that retained capacity is the warmth. *)
-  if man.unique_mask = (1 lsl 12) - 1 then
-    Array.fill man.unique 0 (Array.length man.unique) 0
-  else begin
-    man.unique <- Array.make (1 lsl 12) 0;
-    man.unique_mask <- (1 lsl 12) - 1
-  end;
-  man.unique_count <- 0;
-  man.unique_grows <- 0;
-  man.nvars <- 0;
-  cache_reset man.ite_cache (min (bits cache_size) 20);
-  cache_reset man.restrict_cache 10;
-  cache_reset man.compose_cache 10;
-  (* Hashtbl.clear keeps the grown bucket arrays (warm), unlike the
-     Hashtbl.reset in [clear_caches]; only length is observable. *)
-  Hashtbl.clear man.apply_memo;
-  man.sat_val <- [||];
-  man.sat_done <- Bytes.empty;
-  man.mark <- [||];
-  man.mark_epoch <- 0;
-  man.guard <- guard;
-  man.ceiling <- Guard.bdd_ceiling guard
-
-module Pool = struct
-  (* Process-wide free list of recycled managers. Keeps the node-store
-     arrays (the dominant allocation) warm across jobs in a long-lived
-     server; [reset] at acquire restores fresh-manager observability.
-     Bounded two ways so an adversarial job can't pin memory: at most
-     [max_pooled] managers, and a manager whose store grew past
-     [max_retained_nodes] ids is dropped to the GC instead. *)
-  let lock = Mutex.create ()
-  let free : man list ref = ref []
-  let free_count = ref 0
-  let max_pooled = 64
-  let max_retained_nodes = 1 lsl 21
-
-  let acquire ?cache_size ?(guard = Guard.none) () =
-    let m =
-      Mutex.protect lock (fun () ->
-          match !free with
-          | [] -> None
-          | m :: tl ->
-            free := tl;
-            decr free_count;
-            Some m)
-    in
-    match m with
-    | Some m ->
-      reset ?cache_size ~guard m;
-      m
-    | None -> create ?cache_size ~guard ()
-
-  let release m =
-    if Array.length m.var_ <= max_retained_nodes then
-      Mutex.protect lock (fun () ->
-          if !free_count < max_pooled then begin
-            free := m :: !free;
-            incr free_count
-          end)
-
-  let size () = Mutex.protect lock (fun () -> !free_count)
-
-  let clear () =
-    Mutex.protect lock (fun () ->
-        free := [];
-        free_count := 0)
-end
 
 let check_canonical man =
   let ok = ref true in

@@ -16,9 +16,9 @@
 type man
 type t
 
-(** [create ?cache_size ?guard ()] makes a fresh manager. [cache_size]
-    seeds the initial ite-cache capacity (rounded up to a power of two);
-    all op caches grow by doubling under pressure up to a fixed cap.
+(** [create ?guard ()] makes a fresh manager. Its ite cache starts at
+    2^14 entries and the restrict/compose caches at 2^10; all op caches
+    grow by doubling under pressure up to a fixed cap.
 
     [guard] governs the manager: allocation past the budget's
     [bdd_node_ceiling] raises {!Guard.Blowup}[ Bdd_nodes] from the
@@ -28,10 +28,7 @@ type t
     consistent (every stored node is canonical), so the caller may
     discard results built from it and retry elsewhere. Default
     {!Guard.none}: unlimited, no ticks. *)
-val create : ?cache_size:int -> ?guard:Guard.t -> unit -> man
-
-(** The guard [create] was given ({!Guard.none} by default). *)
-val guard : man -> Guard.t
+val create : ?guard:Guard.t -> unit -> man
 
 val bfalse : man -> t
 val btrue : man -> t
@@ -42,17 +39,10 @@ val var : man -> int -> t
 (** Number of variables the manager has seen. *)
 val num_vars : man -> int
 
-(** Total nodes ever allocated in this manager — a growth gauge used to
-    bound BDD effort in the synthesis driver. Prefer {!stats} for richer
-    live counters. *)
-val allocated : man -> int
-
 val bnot : man -> t -> t
 val band : man -> t -> t -> t
 val bor : man -> t -> t -> t
 val bxor : man -> t -> t -> t
-val bimp : man -> t -> t -> t
-val beq : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t
 
 (** Constant-time structural equality (valid within one manager). *)
@@ -97,8 +87,6 @@ val support : man -> t -> int list
     counted once). *)
 val size : man -> t -> int
 
-val pp : man -> Format.formatter -> t -> unit
-
 (** Live counters for the node store and the operation caches. *)
 type stats = {
   live_nodes : int;  (** internal nodes currently in the unique table *)
@@ -124,34 +112,9 @@ val stats : man -> stats
 
 (** Drop every op-cache entry, the [apply_tt] memo and the per-node
     [satcount] scratch (the node store and unique table are untouched,
-    so existing edges stay valid). Frees every per-job memo a
-    long-lived manager accumulates. *)
+    so existing edges stay valid). Results never depend on these memos,
+    so tests flush them to check exactly that. *)
 val clear_caches : man -> unit
-
-(** [reset man] returns [man] to the observable state of a fresh
-    {!create} — empty store, creation-capacity unique table and op
-    caches, all counters zero, and the given guard — while retaining
-    the grown node-store arrays and hashtable buckets, whose capacity
-    is not observable. Guarantee: every subsequent operation sequence
-    yields bit-identical results {e and} bit-identical {!stats} to the
-    same sequence on a fresh manager. All previously returned [t]
-    values are invalidated. *)
-val reset : ?cache_size:int -> ?guard:Guard.t -> man -> unit
-
-(** A process-wide pool of recycled managers for warm servers: acquire
-    instead of {!create}, release instead of dropping to the GC. An
-    acquired manager is {!reset}, hence observationally fresh. Bounded
-    (manager count and retained store size), thread-safe. Never release
-    a manager that any live [t] still references. *)
-module Pool : sig
-  val acquire : ?cache_size:int -> ?guard:Guard.t -> unit -> man
-  val release : man -> unit
-
-  (** Number of managers currently pooled. *)
-  val size : unit -> int
-
-  val clear : unit -> unit
-end
 
 (** Whole-store canonical-form audit: no node with [lo = hi], no
     complement bit on a [hi] edge, variables strictly increasing along

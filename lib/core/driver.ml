@@ -10,7 +10,6 @@ type options = {
   balance_first : bool;
   guard_budget : Guard.Budget.t;
   deadline : Guard.Deadline.t option;
-  reuse_managers : bool;
 }
 
 let default =
@@ -26,7 +25,6 @@ let default =
     balance_first = true;
     guard_budget = Guard.Budget.default;
     deadline = None;
-    reuse_managers = false;
   }
 
 type stats = {
@@ -365,19 +363,10 @@ let one_round opts ~deadline g =
                 max_decomp_levels = max 1 (opts.max_decomp_levels / 2);
               }
           in
-          (* A fresh (or reset-recycled) BDD manager per attempt keeps
-             memory bounded: all BDDs of one attempt die with its
-             manager, and a blown-up attempt leaves no state behind for
-             the next rung. [reuse_managers] swaps create/drop for the
-             process-wide pool — Bdd.reset guarantees a recycled
-             manager is observationally fresh, so results and stats are
-             unchanged; a warm server sets it to skip the large array
-             allocations on every job. *)
-          let man =
-            if opts.reuse_managers then Bdd.Pool.acquire ~guard ()
-            else Bdd.create ~guard ()
-          in
-          let release () = if opts.reuse_managers then Bdd.Pool.release man in
+          (* A fresh BDD manager per attempt keeps memory bounded: all
+             BDDs of one attempt die with its manager, and a blown-up
+             attempt leaves no state behind for the next rung. *)
+          let man = Bdd.create ~guard () in
           match
             let globals =
               Network.Globals.of_cluster ~guard man wnet ~nodes:cone
@@ -394,7 +383,6 @@ let one_round opts ~deadline g =
               (* Managers that never reach [merge] are still accounted
                  for. *)
               record_bdd_stats man;
-              release ();
               Ok None
             end
             else
@@ -412,7 +400,6 @@ let one_round opts ~deadline g =
                    })
           | exception Guard.Blowup { resource; injected; site = _ } ->
             record_bdd_stats man;
-            release ();
             Error (resource, injected)
         in
         (* The deterministic degradation ladder: exact SPCF → approximate
@@ -511,9 +498,7 @@ let one_round opts ~deadline g =
          [merge] runs sequentially in submission order, so the sums
          stay deterministic. *)
       (match result with
-      | Some { man; _ } ->
-        record_bdd_stats man;
-        if opts.reuse_managers then Bdd.Pool.release man
+      | Some { man; _ } -> record_bdd_stats man
       | None -> ());
       Aig.add_output dst o.Network.name lit
     in

@@ -42,13 +42,6 @@ type options = {
           {!Guard.Deadline.cancellable} value here so a client
           disconnect can expire the job; [None] (the default)
           preserves the one-shot behaviour. *)
-  reuse_managers : bool;
-      (** acquire per-attempt BDD managers from {!Bdd.Pool} instead of
-          creating and dropping them. [Bdd.reset] guarantees recycled
-          managers are observationally fresh, so results and [Det]
-          stats are bit-identical either way; a warm server enables
-          this to amortize the large array allocations across jobs.
-          Default [false]. *)
 }
 
 val default : options

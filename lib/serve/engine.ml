@@ -1,9 +1,8 @@
 (* Job engine. See engine.mli for the model; the short version: one
    executor domain drains a bounded FIFO under a mutex, every job runs
    the exact cold-CLI operation sequence between an Obs.reset and a
-   snapshot, and all warm state (interned circuits, pooled BDD
-   managers, the enabled Obs runtime) is invisible in results by
-   construction. *)
+   snapshot, and all warm state (interned circuits, the enabled Obs
+   runtime) is invisible in results by construction. *)
 
 type config = { queue_capacity : int }
 
@@ -189,8 +188,8 @@ let journal_admitted (spec : Msg.submit) =
    observation, load, optimize, measure, snapshot, serialize. Returns a
    finished result (state Done/Failed/Cancelled) together with the
    job's Obs snapshot (when one was taken) and its size class. [intern]
-   is the warm state: [Some] table for executor jobs, which also recycle
-   their BDD managers, [None] for a cold run. *)
+   is the warm state: [Some] table for executor jobs, [None] for a cold
+   run. *)
 let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
     ~cancel_handle ~wait_ns =
   let t0 = Guard.Clock.now_ns () in
@@ -263,7 +262,6 @@ let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
         time_limit_s = bound;
         guard_budget = guard_budget_of spec.budget;
         deadline = Some deadline;
-        reuse_managers = Option.is_some intern;
       }
     in
     let optimized = Run.tool ~options spec.tool g in
@@ -627,7 +625,6 @@ let stats t =
       queue_capacity = t.config.queue_capacity;
       uptime_s = Guard.Clock.now_s () -. t.born_s;
       interned_circuits = Hashtbl.length t.intern;
-      pooled_managers = Bdd.Pool.size ();
       slo = [];
     }
   in
@@ -661,8 +658,6 @@ let metrics t =
         ("rejected_total", "Admissions rejected since start.", rejected);
         ("uptime_s", "Engine uptime.", Guard.Clock.now_s () -. t.born_s);
         ("interned_circuits", "Warm interned circuit images.", interned);
-        ("pooled_managers", "Recycled BDD managers in the pool.",
-         float_of_int (Bdd.Pool.size ()));
         ("journal_events", "Journal events recorded since enable.",
          float_of_int (Obs.Journal.events_total ()));
         ("journal_rotations", "Journal file-sink rotations.",

@@ -12,8 +12,9 @@
     {b Warm state.} Generated circuits ([Named]/[Adder] sources) are
     interned in a process-level table (generation is deterministic and
     the optimizer never mutates its input, so sharing is
-    identity-safe); every job's BDD managers recycle through
-    {!Bdd.Pool}; [Obs] stays enabled across jobs with per-job [reset].
+    identity-safe); [Obs] stays enabled across jobs with per-job
+    [reset]. Nothing else is warm: every BDD manager is made fresh per
+    decomposition attempt and dropped to the GC, as in the CLI.
     {!run_cold} is the one path without warm state.
 
     {b Tenancy.} Every job belongs to a tenant (the server uses the
@@ -94,7 +95,7 @@ val metrics : t -> string * Obs.Json.t
 val job_trace : t -> int -> Obs.Json.t option
 
 (** Run a job cold on the calling domain: fresh circuit build (no
-    intern), no manager reuse, per-run [Obs.reset] — the library-call
+    intern), per-run [Obs.reset] — the library-call
     image of one [bin/lookahead_opt] invocation. Used by the bench to
     prove warm ≡ cold in-process. Must not run concurrently with a
     started engine's jobs. *)

@@ -128,7 +128,6 @@ type server_stats = {
   queue_capacity : int;
   uptime_s : float;
   interned_circuits : int;
-  pooled_managers : int;
   slo : slo_stat list;
 }
 
@@ -270,7 +269,6 @@ let response_to_json = function
         ("queue_capacity", J.Int s.queue_capacity);
         ("uptime_s", J.Float s.uptime_s);
         ("interned_circuits", J.Int s.interned_circuits);
-        ("pooled_managers", J.Int s.pooled_managers);
         ("slo", J.List (List.map slo_to_json s.slo));
       ]
   | Metrics_reply { text; json } ->
@@ -560,7 +558,6 @@ let response_of_json j =
       let* queue_capacity = int_field j "queue_capacity" in
       let* uptime_s = num_field j "uptime_s" ~default:0.0 in
       let* interned_circuits = int_field j "interned_circuits" in
-      let* pooled_managers = int_field j "pooled_managers" in
       let* slo =
         match J.member "slo" j with
         | None -> Ok []
@@ -587,7 +584,6 @@ let response_of_json j =
              queue_capacity;
              uptime_s;
              interned_circuits;
-             pooled_managers;
              slo;
            })
     | "metrics" ->

@@ -129,7 +129,6 @@ type server_stats = {
   queue_capacity : int;
   uptime_s : float;
   interned_circuits : int;
-  pooled_managers : int;
   slo : slo_stat list;
 }
 

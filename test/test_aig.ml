@@ -174,6 +174,37 @@ let test_blif_loop () =
            ".model loop\n.inputs a\n.outputs z\n.names a z y\n11 1\n\
             .names y a z\n11 1\n.end\n"))
 
+(* Tabs separate tokens like spaces: a two-input AND read from a
+   tab-separated table. *)
+let test_blif_tabs () =
+  let g =
+    Aig.Io.read_blif
+      ".model t\n.inputs a\tb\n.outputs y\n.names\ta\tb\ty\n11\t1\n.end\n"
+  in
+  Alcotest.(check int) "two inputs" 2 (Aig.num_inputs g);
+  Alcotest.(check (list bool))
+    "y = a & b" [ false; false; false; true ]
+    (List.map
+       (fun (a, b) -> (Aig.eval g [| a; b |]).(0))
+       [ (false, false); (true, false); (false, true); (true, true) ])
+
+(* Rows of a two-input table that must fail naming their signal rather
+   than be misread: a short row (missing inputs as don't-cares), a long
+   one, and a non-0/1 output (the row dropped). *)
+let test_blif_bad_rows () =
+  List.iter
+    (fun (row, msg) ->
+      Alcotest.check_raises row (Failure msg) (fun () ->
+          ignore
+            (Aig.Io.read_blif
+               (".model t\n.inputs a b\n.outputs y\n.names a b y\n" ^ row
+              ^ "\n.end\n"))))
+    [
+      ("1 1", "blif: row \"1 1\" of y has 1 input column(s), expected 2");
+      ("111 1", "blif: row \"111 1\" of y has 3 input column(s), expected 2");
+      ("11 x", "blif: row \"11 x\" of y has output \"x\", expected 0 or 1");
+    ]
+
 let test_bench_loop () =
   Alcotest.check_raises "loop fails instead of overflowing the stack"
     (Failure "bench: combinational loop through z") (fun () ->
@@ -281,6 +312,8 @@ let () =
           prop_blif_roundtrip;
           prop_bench_roundtrip;
           Alcotest.test_case "blif combinational loop" `Quick test_blif_loop;
+          Alcotest.test_case "blif tab-separated tokens" `Quick test_blif_tabs;
+          Alcotest.test_case "blif malformed rows" `Quick test_blif_bad_rows;
           Alcotest.test_case "bench combinational loop" `Quick test_bench_loop;
           prop_aag_roundtrip;
           prop_aig_binary_roundtrip;

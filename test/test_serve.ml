@@ -1,8 +1,7 @@
 (* Tests for lib/serve: protocol framing (partial reads, oversized and
-   corrupt frames), codec totality, cancellable deadlines, BDD manager
-   recycling (Bdd.reset / Bdd.Pool), per-job Obs.reset identity, the
-   job engine end to end, and the socket server including pipelined
-   load and disconnect-mid-job cancellation.
+   corrupt frames), codec totality, cancellable deadlines, per-job
+   Obs.reset identity, the job engine end to end, and the socket server
+   including pipelined load and disconnect-mid-job cancellation.
 
    Every optimization runs deadline-free (time_limit_s = Some 0.) so
    results cannot depend on wall-clock scheduling — the same convention
@@ -12,17 +11,15 @@ module Frame = Serve.Frame
 module Msg = Serve.Msg
 module Engine = Serve.Engine
 
-(* Every test leaves observation off, the sinks empty, injection
-   disarmed and the manager pool drained, so tests are
-   order-independent. *)
+(* Every test leaves observation off, the sinks empty and injection
+   disarmed, so tests are order-independent. *)
 let quiesce () =
   Guard.Inject.disarm ();
   Obs.set_span_listener None;
   Obs.Journal.disable ();
   Obs.set_trace "";
   Obs.disable ();
-  Obs.reset ();
-  Bdd.Pool.clear ()
+  Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                            *)
@@ -213,7 +210,6 @@ let responses =
         queue_capacity = 256;
         uptime_s = 12.25;
         interned_circuits = 3;
-        pooled_managers = 2;
         slo =
           [
             {
@@ -328,71 +324,6 @@ let test_deadline_never_immune () =
   Alcotest.(check bool)
     "the shared never deadline cannot be cancelled" false
     (Guard.Deadline.expired Guard.Deadline.never)
-
-(* ------------------------------------------------------------------ *)
-(* Manager recycling                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* A deterministic workload whose results and Det-relevant counters can
-   be compared between a fresh and a recycled manager. *)
-let bdd_workload m =
-  let v i = Bdd.var m i in
-  let x =
-    List.fold_left (Bdd.band m) (Bdd.btrue m)
-      (List.init 8 (fun i -> Bdd.bor m (v i) (v ((i + 3) mod 11))))
-  in
-  let y = Bdd.bxor m x (Bdd.ite m (v 9) x (v 10)) in
-  let s = Bdd.stats m in
-  ( Bdd.satcount m ~nvars:11 y,
-    Bdd.size m y,
-    s.Bdd.live_nodes,
-    s.Bdd.ite_lookups,
-    s.Bdd.ite_hits,
-    s.Bdd.unique_growths )
-
-let test_reset_restores_baseline () =
-  let m = Bdd.create () in
-  let _ = bdd_workload m in
-  Bdd.reset m;
-  let s = Bdd.stats m in
-  Alcotest.(check int) "live nodes back to zero" 0 s.Bdd.live_nodes;
-  Alcotest.(check int) "ite lookups zeroed" 0 s.Bdd.ite_lookups;
-  Alcotest.(check int) "unique growths zeroed" 0 s.Bdd.unique_growths;
-  Alcotest.(check int)
-    "unique capacity back to creation size" (1 lsl 12) s.Bdd.unique_capacity
-
-let test_recycled_equals_fresh () =
-  let fresh = bdd_workload (Bdd.create ()) in
-  let m = Bdd.create () in
-  (* Grow the manager with unrelated work, including enough conjuncts
-     to force unique-table growth, then recycle. *)
-  let junk =
-    List.fold_left (Bdd.band m) (Bdd.btrue m)
-      (List.init 40 (fun i ->
-           Bdd.bxor m (Bdd.var m i) (Bdd.var m ((i * 7) mod 41))))
-  in
-  ignore (Bdd.size m junk);
-  Bdd.reset m;
-  let recycled = bdd_workload m in
-  Alcotest.(check bool)
-    "recycled manager reproduces the fresh run exactly (values and \
-     Det counters)"
-    true (fresh = recycled)
-
-let test_pool_recycles () =
-  Bdd.Pool.clear ();
-  let m = Bdd.Pool.acquire () in
-  let _ = bdd_workload m in
-  Alcotest.(check int) "pool empty while in use" 0 (Bdd.Pool.size ());
-  Bdd.Pool.release m;
-  Alcotest.(check int) "released manager pooled" 1 (Bdd.Pool.size ());
-  let m2 = Bdd.Pool.acquire () in
-  Alcotest.(check bool) "acquire returns the pooled manager" true (m == m2);
-  let s = Bdd.stats m2 in
-  Alcotest.(check int) "recycled manager starts clean" 0 s.Bdd.live_nodes;
-  Bdd.Pool.release m2;
-  Bdd.Pool.clear ();
-  Alcotest.(check int) "clear drains the pool" 0 (Bdd.Pool.size ())
 
 (* ------------------------------------------------------------------ *)
 (* Per-job observation reset                                          *)
@@ -606,9 +537,6 @@ let test_engine_warm_identity () =
     (Obs.Json.equal (det r2) (det cold));
   Alcotest.(check bool)
     "completed stat counts both jobs" true (st.Msg.completed = 2);
-  Alcotest.(check bool)
-    "a manager was pooled" true
-    (st.Msg.pooled_managers > 0);
   Alcotest.(check bool)
     "the generated circuit was interned" true
     (st.Msg.interned_circuits = 1)
@@ -1151,14 +1079,6 @@ let () =
           Alcotest.test_case "bound shares cancellation" `Quick
             test_deadline_bound_shares_cancel;
           Alcotest.test_case "never immune" `Quick test_deadline_never_immune;
-        ] );
-      ( "bdd-recycling",
-        [
-          Alcotest.test_case "reset restores baseline" `Quick
-            test_reset_restores_baseline;
-          Alcotest.test_case "recycled equals fresh" `Quick
-            test_recycled_equals_fresh;
-          Alcotest.test_case "pool recycles" `Quick test_pool_recycles;
         ] );
       ( "obs-reset",
         [
