@@ -6,7 +6,8 @@
 # telemetry surfaces (metrics exposition, per-job trace, top, journal
 # JSONL), check that a combinational-loop BLIF fails cleanly and a
 # clean job still runs after it, then shut the server down and require
-# it to exit cleanly.
+# it to exit cleanly. Last, a fresh `-j 2` server must complete a
+# portfolio job as its very first job.
 #
 # This is the cheap always-on CI check; the full warm-vs-cold identity
 # and telemetry gates live in check_regression.sh (gates 7 and 9), and
@@ -16,9 +17,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 sock="${TMPDIR:-/tmp}/serve_smoke.$$.sock"
+sock2="${TMPDIR:-/tmp}/serve_smoke.$$.2.sock"
 out="${TMPDIR:-/tmp}/serve_smoke.$$"
 mkdir -p "$out"
-trap 'rm -rf "$out"; rm -f "$sock"' EXIT
+trap 'rm -rf "$out"; rm -f "$sock" "$sock2"' EXIT
 
 dune build bin/lookahead_serve.exe bench/main.exe
 
@@ -147,6 +149,34 @@ dune exec bench/main.exe -- check-journal "$out/journal.jsonl" \
   >/dev/null || {
   echo "smoke_serve: FAIL — job journal is missing or malformed" >&2
   fail=1; }
+
+# Fresh two-domain server whose first job is a portfolio: its arms map
+# from two domains at once before anything has built the mapper's match
+# table, which used to raise CamlinternalLazy.Undefined.
+dune exec bin/lookahead_serve.exe -- run -s "$sock2" -j 2 >/dev/null 2>&1 &
+server2_pid=$!
+i=0
+while [ ! -S "$sock2" ] && [ "$i" -lt 100 ]; do sleep 0.1; i=$((i+1)); done
+if [ ! -S "$sock2" ]; then
+  echo "smoke_serve: FAIL — second server did not start listening" >&2
+  kill "$server2_pid" 2>/dev/null || true
+  exit 1
+fi
+if dune exec bin/lookahead_serve.exe -- submit -s "$sock2" --adder ripple:1 \
+     -t portfolio:delay --time-limit 0 \
+     >"$out/portfolio.out" 2>"$out/portfolio.err"; then
+  grep -q "delay" "$out/portfolio.out" || {
+    echo "smoke_serve: FAIL — portfolio job printed no metrics" >&2; fail=1; }
+else
+  echo "smoke_serve: FAIL — portfolio job on a fresh -j 2 server failed:" \
+    "$(cat "$out/portfolio.err")" >&2
+  fail=1
+fi
+dune exec bin/lookahead_serve.exe -- shutdown -s "$sock2" >/dev/null || {
+  echo "smoke_serve: FAIL — second shutdown request failed" >&2; fail=1; }
+if ! wait "$server2_pid"; then
+  echo "smoke_serve: FAIL — second server exited non-zero" >&2; fail=1
+fi
 
 if [ "$fail" = 0 ]; then
   echo "smoke_serve: OK"

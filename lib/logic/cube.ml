@@ -42,7 +42,7 @@ let with_literal c i b =
   let bit = 1 lsl i in
   { mask = c.mask lor bit; bits = (if b then c.bits lor bit else c.bits land lnot bit) }
 
-let to_tt n c = Tt.of_fun n (fun m -> mem c m)
+let to_tt n c = Tt.cube n ~mask:c.mask ~bits:c.bits
 let minterm_count n c = 1 lsl (n - num_literals c)
 let equal a b = a.mask = b.mask && a.bits = b.bits
 let compare = Stdlib.compare

@@ -9,10 +9,10 @@
       iteration.
 
     The loop stops when the cost (cube count, then literal count) stops
-    improving. Unlike {!Minimize.minimum_cover} (exact-ish
-    Quine-McCluskey over all primes), this scales to wider node
-    functions because it never enumerates the prime set; it is the
-    engine used for node functions above the QM width threshold. *)
+    improving. Unlike {!Minimize.minimum_cover}, which grows primes
+    from every on-set minterm, this scales to wider node functions
+    because it only ever expands the cubes of its current cover; it is
+    the engine used for node functions above 8 variables. *)
 
 (** [minimize ~on ~dc] is an irredundant prime cover of the function.
     Requires [on] and [dc] disjoint. *)

@@ -40,141 +40,106 @@ let isop ~lower ~upper =
   let cubes, _ = isop_rec lower upper vars in
   Sop.make n cubes
 
-(* Quine-McCluskey prime generation over the care function on+dc. A cube is
-   an implicant when it lies entirely inside on+dc; it is prime when no
-   single-literal expansion is still an implicant. We grow implicants from
-   minterms by repeated pairwise merging. *)
+(* The primes grown from every on-set minterm in the cyclic orders that
+   start at variables 0 .. min(n, 4) (n distinct orders when n <= 4),
+   without repeats and sorted by [Cube.compare] (mask, then bits), which
+   is the order of the packed keys. This is not every prime: on some
+   functions no such order reaches one. *)
 let primes ~on ~dc =
   let n = Tt.num_vars on in
   let cover = Tt.lor_ on dc in
-  let is_implicant c =
-    (* Cube inside cover iff cover has no 0 inside the cube. *)
-    let rec check m =
-      if m >= Tt.size cover then true
-      else if Cube.mem c m && not (Tt.get_bit cover m) then false
-      else check (m + 1)
-    in
-    check 0
-  in
-  let expand c =
-    (* Remove literals while the cube remains an implicant. *)
-    List.fold_left
-      (fun c (i, _) ->
-        let c' = { Cube.mask = c.Cube.mask land lnot (1 lsl i); bits = c.Cube.bits land lnot (1 lsl i) } in
-        if is_implicant c' then c' else c)
-      c (Cube.literals c)
-  in
-  let module CS = Set.Make (struct
-    type t = Cube.t
-    let compare = Cube.compare
-  end) in
-  (* Expanding every on-set minterm in every literal order is exponential;
-     instead collect primes by expanding each minterm with all single-start
-     rotations of the literal order, which finds all primes needed to cover
-     the function (a superset of the essential primes and enough for the
-     covering step). Then grow the set with pairwise consensus until no new
-     prime appears, bounded for safety. *)
-  let start = ref CS.empty in
-  List.iter
-    (fun m ->
-      let lits = List.init n (fun i -> (i, (m lsr i) land 1 = 1)) in
-      let base = Cube.of_literals lits in
-      let rec rotations k acc l =
-        if k = 0 then acc
-        else
-          match l with
-          | [] -> acc
-          | x :: rest -> rotations (k - 1) ((rest @ [ x ]) :: acc) (rest @ [ x ])
-      in
-      let orders = lits :: rotations (min n 4) [] lits in
-      List.iter
-        (fun order ->
-          let c =
-            List.fold_left
-              (fun c (i, _) ->
-                let c' =
-                  { Cube.mask = c.Cube.mask land lnot (1 lsl i);
-                    bits = c.Cube.bits land lnot (1 lsl i) }
-                in
-                if is_implicant c' then c' else c)
-              base order
-          in
-          start := CS.add (expand c) !start)
-        orders)
-    (Tt.minterms on);
-  CS.elements !start
+  let starts = max 1 (min n 5) in
+  let keys = ref [] in
+  for m = 0 to Tt.size on - 1 do
+    if Tt.get_bit on m then
+      for start = 0 to starts - 1 do
+        keys := Tt.grow_cube cover ~minterm:m ~start :: !keys
+      done
+  done;
+  let bits_of = (1 lsl n) - 1 in
+  List.map
+    (fun key -> { Cube.mask = key lsr n; bits = key land bits_of })
+    (List.sort_uniq Int.compare !keys)
 
+(* Cover the on-set with primes: essential primes in ascending order of
+   the minterm each solely covers, then greedy picks (first prime with the
+   largest gain), then a redundancy pass over [Hashtbl.fold] order of the
+   chosen set. Each prime is handled as the bitset of the on-set minterms
+   it covers. *)
 let minimum_cover ~on ~dc =
   let n = Tt.num_vars on in
   if Tt.is_const_false on then Sop.const_false n
-  else if Tt.is_const_true (Tt.lor_ on dc) && not (Tt.is_const_false on) then
-    Sop.const_true n
+  else if Tt.is_const_true (Tt.lor_ on dc) then Sop.const_true n
   else begin
     let ps = Array.of_list (primes ~on ~dc) in
-    let minterms = Tt.minterms on in
-    let covers_of_m =
-      List.map
-        (fun m ->
-          (m, List.filter (fun i -> Cube.mem ps.(i) m) (List.init (Array.length ps) Fun.id)))
-        minterms
-    in
+    let covers = Array.map (fun c -> Tt.land_ (Cube.to_tt n c) on) ps in
     let chosen = Hashtbl.create 16 in
-    (* Essential primes: sole cover of some minterm. *)
-    List.iter
-      (fun (_, cs) ->
-        match cs with [ i ] -> Hashtbl.replace chosen i () | _ -> ())
-      covers_of_m;
-    let covered m =
-      List.exists (fun i -> Hashtbl.mem chosen i)
-        (List.assoc m covers_of_m)
+    let remaining = ref on in
+    let choose i =
+      Hashtbl.replace chosen i ();
+      remaining := Tt.land_ !remaining (Tt.lnot covers.(i))
     in
+    let once = ref (Tt.const_false n) and twice = ref (Tt.const_false n) in
+    Array.iter
+      (fun c ->
+        twice := Tt.lor_ !twice (Tt.land_ !once c);
+        once := Tt.lor_ !once c)
+      covers;
+    let sole = Tt.land_ !once (Tt.lnot !twice) in
+    for m = 0 to Tt.size on - 1 do
+      if Tt.get_bit sole m && Tt.get_bit !remaining m then begin
+        let i = ref 0 in
+        while not (Tt.get_bit covers.(!i) m) do incr i done;
+        choose !i
+      end
+    done;
+    let gain i = Tt.count_ones (Tt.land_ covers.(i) !remaining) in
     let rec greedy () =
-      let remaining = List.filter (fun (m, _) -> not (covered m)) covers_of_m in
-      if remaining <> [] then begin
-        let gain = Array.make (Array.length ps) 0 in
-        List.iter
-          (fun (_, cs) -> List.iter (fun i -> gain.(i) <- gain.(i) + 1) cs)
-          remaining;
-        let best = ref 0 in
-        Array.iteri (fun i g -> if g > gain.(!best) then best := i) gain;
-        if gain.(!best) = 0 then ()
-        else begin
-          Hashtbl.replace chosen !best ();
+      if not (Tt.is_const_false !remaining) then begin
+        let best = ref 0 and best_gain = ref (gain 0) in
+        for i = 1 to Array.length ps - 1 do
+          let g = gain i in
+          if g > !best_gain then begin
+            best := i;
+            best_gain := g
+          end
+        done;
+        if !best_gain > 0 then begin
+          choose !best;
           greedy ()
         end
       end
     in
     greedy ();
-    (* Redundancy removal: drop chosen primes whose minterms are covered by
-       the others. *)
     let selected = Hashtbl.fold (fun i () acc -> i :: acc) chosen [] in
     let drop_if_redundant kept i =
       let others = List.filter (fun j -> j <> i) kept in
-      let all_covered =
-        List.for_all
-          (fun (m, _) -> List.exists (fun j -> Cube.mem ps.(j) m) others)
-          covers_of_m
+      let union =
+        List.fold_left (fun acc j -> Tt.lor_ acc covers.(j)) (Tt.const_false n) others
       in
-      if all_covered then others else kept
+      if Tt.equal union on then others else kept
     in
     let irredundant = List.fold_left drop_if_redundant selected selected in
     Sop.make n (List.map (fun i -> ps.(i)) irredundant)
   end
 
-(* min_sops is in the inner loop of the level quantification (every
-   Levels.compute calls it for every node); node functions repeat
-   massively across calls, so the covers are memoized by truth table. *)
-let min_sops_cache : (int * string, Sop.t * Sop.t) Hashtbl.t = Hashtbl.create 4096
+(* min_sops is in the inner loop of the level quantification and of cut
+   rewriting, and node functions repeat massively across calls, so the
+   covers are memoized by truth table. Each domain keeps its own table,
+   because pool workers and portfolio arms call this concurrently, and
+   empties it past 200 k entries; a process running N domains can hold
+   N such tables. *)
+let memo : (Sop.t * Sop.t) Tt.Tbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Tt.Tbl.create 4096)
 
 let min_sops f =
-  let key = (Tt.num_vars f, Tt.to_hex f) in
-  match Hashtbl.find_opt min_sops_cache key with
+  let memo = Domain.DLS.get memo in
+  match Tt.Tbl.find_opt memo f with
   | Some r -> r
   | None ->
     let n = Tt.num_vars f in
     let dc = Tt.const_false n in
     let r = (minimum_cover ~on:f ~dc, minimum_cover ~on:(Tt.lnot f) ~dc) in
-    if Hashtbl.length min_sops_cache > 200_000 then
-      Hashtbl.reset min_sops_cache;
-    Hashtbl.add min_sops_cache key r;
+    if Tt.Tbl.length memo > 200_000 then Tt.Tbl.reset memo;
+    Tt.Tbl.add memo f r;
     r

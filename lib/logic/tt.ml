@@ -106,21 +106,88 @@ let support t =
   in
   loop (t.n - 1) []
 
-let count_ones t =
-  let count_word w =
-    let rec loop w acc =
-      if w = 0L then acc
-      else loop (Int64.logand w (Int64.sub w 1L)) (acc + 1)
-    in
-    loop w 0
+let popcount w =
+  let open Int64 in
+  let w = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in
+  let w =
+    add (logand w 0x3333333333333333L)
+      (logand (shift_right_logical w 2) 0x3333333333333333L)
   in
-  Array.fold_left (fun acc w -> acc + count_word w) 0 t.words
+  let w = logand (add w (shift_right_logical w 4)) 0x0F0F0F0F0F0F0F0FL in
+  to_int (shift_right_logical (mul w 0x0101010101010101L) 56)
+
+let count_ones t =
+  let c = ref 0 in
+  for i = 0 to Array.length t.words - 1 do
+    c := !c + popcount t.words.(i)
+  done;
+  !c
 
 let exists t i = lor_ (cofactor t i false) (cofactor t i true)
 
 let compose t i g =
   let f0 = cofactor t i false and f1 = cofactor t i true in
   lor_ (land_ g f1) (land_ (lnot g) f0)
+
+(* Every word of a cube's table is either zero or the same pattern over
+   the low six variables; the high variables pick which words carry it. *)
+let cube n ~mask ~bits =
+  let t = create n in
+  let low = ref (live_mask n) in
+  for i = 0 to 5 do
+    if mask land (1 lsl i) <> 0 then
+      low :=
+        Int64.logand !low
+          (if bits land (1 lsl i) <> 0 then var_masks.(i)
+           else Int64.lognot var_masks.(i))
+  done;
+  let hmask = mask lsr 6 and hbits = bits lsr 6 in
+  for w = 0 to Array.length t.words - 1 do
+    if w land hmask = hbits then t.words.(w) <- !low
+  done;
+  t
+
+(* The growing cube's table is [low] on its carrier words, those whose
+   index agrees with [m lsr 6] on the bits of [fixed], and zero on the
+   others, as in [cube]; [inside] is the AND of [cover] over the
+   carriers. Dropping variable [i < 6] adds [low] shifted across [i] on
+   the carriers, so it fits when the shifted word is inside [inside].
+   Dropping [i >= 6] adds [low] on the words whose index differs from a
+   carrier's in bit [i - 6]. A literal that cannot be dropped from a
+   cube cannot be dropped from a larger one either, so one pass reaches
+   a prime. *)
+let grow_cube cover ~minterm:m ~start =
+  let n = cover.n and words = cover.words in
+  let low = ref (Int64.shift_left 1L (m land 63)) in
+  let fixed = ref (Array.length words - 1) in
+  let inside = ref words.(m lsr 6) in
+  let mask = ref ((1 lsl n) - 1) in
+  for j = 0 to n - 1 do
+    let i = if start + j < n then start + j else start + j - n in
+    if i < 6 then begin
+      let added =
+        if (m lsr i) land 1 = 1 then Int64.shift_right_logical !low (1 lsl i)
+        else Int64.shift_left !low (1 lsl i)
+      in
+      if Int64.logand added (Int64.lognot !inside) = 0L then begin
+        low := Int64.logor !low added;
+        mask := !mask land Stdlib.lnot (1 lsl i)
+      end
+    end else begin
+      let flip = 1 lsl (i - 6) in
+      let across = ref (-1L) in
+      for w = 0 to Array.length words - 1 do
+        if w land !fixed = (m lsr 6) land !fixed then
+          across := Int64.logand !across words.(w lxor flip)
+      done;
+      if Int64.logand !low (Int64.lognot !across) = 0L then begin
+        inside := Int64.logand !inside !across;
+        fixed := !fixed land Stdlib.lnot flip;
+        mask := !mask land Stdlib.lnot (1 lsl i)
+      end
+    end
+  done;
+  (!mask lsl n) lor (m land !mask)
 
 let of_fun n f =
   let t = create n in
@@ -181,3 +248,10 @@ let compare a b =
   match Stdlib.compare a.n b.n with
   | 0 -> Stdlib.compare a.words b.words
   | c -> c
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

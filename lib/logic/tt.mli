@@ -75,6 +75,21 @@ val minterms : t -> int list
 (** [of_fun n f] tabulates [f] over the [2^n] minterms. *)
 val of_fun : int -> (int -> bool) -> t
 
+(** [cube n ~mask ~bits] is true on the minterms [m] with
+    [m land mask = bits]: the cube binding variable [i] to bit [i] of
+    [bits] wherever bit [i] of [mask] is set. [bits] must be 0 outside
+    [mask]. *)
+val cube : int -> mask:int -> bits:int -> t
+
+(** [grow_cube f ~minterm ~start] grows the cube of [minterm], a minterm
+    of [f], into a prime implicant of [f]. It tries to drop the literals
+    one at a time in the cyclic variable order that starts at [start]
+    ([start, start + 1, ..., n - 1, 0, ..., start - 1]) and drops each
+    one whose removal keeps the cube inside [f]. The prime is returned
+    packed as [(mask lsl n) lor bits], in the convention of {!cube}, so
+    that integer order is mask order, then bits order. *)
+val grow_cube : t -> minterm:int -> start:int -> int
+
 (** Random table over [n] variables using the given state. *)
 val random : Random.State.t -> int -> t
 
@@ -84,3 +99,6 @@ val to_hex : t -> string
 val pp : Format.formatter -> t -> unit
 val hash : t -> int
 val compare : t -> t -> int
+
+(** Hash tables keyed by truth table ([equal], [hash]). *)
+module Tbl : Hashtbl.S with type key = t

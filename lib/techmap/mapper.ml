@@ -31,7 +31,7 @@ let rec permutations = function
    exactly that function. Built once. *)
 let match_table =
   lazy
-    (let table = Hashtbl.create 4096 in
+    (let table = Logic.Tt.Tbl.create 4096 in
      List.iter
        (fun (cell : Library.cell) ->
          let a = cell.Library.arity in
@@ -52,17 +52,20 @@ let match_table =
                      done;
                      Logic.Tt.get_bit cell.Library.func !v)
                in
-               let key = (a, Logic.Tt.to_hex f) in
-               let prev = try Hashtbl.find table key with Not_found -> [] in
-               Hashtbl.replace table key ({ cell; perm; phases } :: prev)
+               let prev = try Logic.Tt.Tbl.find table f with Not_found -> [] in
+               Logic.Tt.Tbl.replace table f ({ cell; perm; phases } :: prev)
              done)
            perms)
        Library.cells;
      table)
 
-let matches_for tt =
-  let key = (Logic.Tt.num_vars tt, Logic.Tt.to_hex tt) in
-  try Hashtbl.find (Lazy.force match_table) key with Not_found -> []
+(* Forced by the first [map] call rather than at start-up, which would
+   charge every process ~5 ms before its first optimizer call. Portfolio
+   arms map from several domains at once, and a domain forcing a lazy
+   value that another domain is still computing raises
+   [CamlinternalLazy.Undefined], so the force runs under a lock. Once
+   built the table is only read. *)
+let match_table_lock = Mutex.create ()
 
 (* Chosen implementation of one (node, phase). *)
 type choice =
@@ -73,6 +76,10 @@ type choice =
 let inv_delay = Library.inverter.Library.intrinsic
 
 let map g =
+  let table =
+    Mutex.protect match_table_lock (fun () -> Lazy.force match_table)
+  in
+  let matches_for tt = try Logic.Tt.Tbl.find table tt with Not_found -> [] in
   let nn = Aig.num_nodes g in
   let cuts = Aig.Cuts.enumerate g ~k:4 ~per_node:6 in
   let arrival = Array.make (2 * nn) infinity in

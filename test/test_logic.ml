@@ -126,16 +126,19 @@ let prop_cube_tt =
       ~print:(fun (mask, bits) -> Printf.sprintf "mask=%x bits=%x" mask bits)
       QCheck.Gen.(
         map
-          (fun (m, b) ->
-            let m = m land 0x3F in
-            (m, b land m))
-          (pair (int_bound 63) (int_bound 63)))
+          (fun (m, b) -> (m, b land m))
+          (pair (int_bound 255) (int_bound 255)))
   in
+  (* Over 6 variables (one word) and 8 (four words, so the high literals
+     pick words). *)
   qtest "cube: to_tt agrees with mem" gen (fun (mask, bits) ->
       let c = { Cube.mask; bits } in
-      let t = Cube.to_tt 6 c in
-      List.for_all (fun m -> Tt.get_bit t m = Cube.mem c m)
-        (List.init 64 Fun.id))
+      List.for_all
+        (fun n ->
+          let t = Cube.to_tt n c in
+          List.for_all (fun m -> Tt.get_bit t m = Cube.mem c m)
+            (List.init (1 lsl n) Fun.id))
+        [ 6; 8 ])
 
 (* --- SOPs --------------------------------------------------------------- *)
 
@@ -215,6 +218,161 @@ let prop_primes_maximal =
               not (inside c'))
             (Cube.literals c))
         (Minimize.primes ~on ~dc))
+
+(* The scanning prime generator and list-based covering that the
+   word-parallel [Minimize] replaced, kept verbatim: the emitted AIGs
+   depend on which primes come out, in which order, and on the cube order
+   of each cover, so the new code must reproduce all three exactly. *)
+module Ref = struct
+  let primes ~on ~dc =
+    let n = Tt.num_vars on in
+    let cover = Tt.lor_ on dc in
+    let is_implicant c =
+      (* Cube inside cover iff cover has no 0 inside the cube. *)
+      let rec check m =
+        if m >= Tt.size cover then true
+        else if Cube.mem c m && not (Tt.get_bit cover m) then false
+        else check (m + 1)
+      in
+      check 0
+    in
+    let expand c =
+      (* Remove literals while the cube remains an implicant. *)
+      List.fold_left
+        (fun c (i, _) ->
+          let c' = { Cube.mask = c.Cube.mask land lnot (1 lsl i); bits = c.Cube.bits land lnot (1 lsl i) } in
+          if is_implicant c' then c' else c)
+        c (Cube.literals c)
+    in
+    let module CS = Set.Make (struct
+      type t = Cube.t
+      let compare = Cube.compare
+    end) in
+    let start = ref CS.empty in
+    List.iter
+      (fun m ->
+        let lits = List.init n (fun i -> (i, (m lsr i) land 1 = 1)) in
+        let base = Cube.of_literals lits in
+        let rec rotations k acc l =
+          if k = 0 then acc
+          else
+            match l with
+            | [] -> acc
+            | x :: rest -> rotations (k - 1) ((rest @ [ x ]) :: acc) (rest @ [ x ])
+        in
+        let orders = lits :: rotations (min n 4) [] lits in
+        List.iter
+          (fun order ->
+            let c =
+              List.fold_left
+                (fun c (i, _) ->
+                  let c' =
+                    { Cube.mask = c.Cube.mask land lnot (1 lsl i);
+                      bits = c.Cube.bits land lnot (1 lsl i) }
+                  in
+                  if is_implicant c' then c' else c)
+                base order
+            in
+            start := CS.add (expand c) !start)
+          orders)
+      (Tt.minterms on);
+    CS.elements !start
+
+  let minimum_cover ~on ~dc =
+    let n = Tt.num_vars on in
+    if Tt.is_const_false on then Sop.const_false n
+    else if Tt.is_const_true (Tt.lor_ on dc) && not (Tt.is_const_false on) then
+      Sop.const_true n
+    else begin
+      let ps = Array.of_list (primes ~on ~dc) in
+      let minterms = Tt.minterms on in
+      let covers_of_m =
+        List.map
+          (fun m ->
+            (m, List.filter (fun i -> Cube.mem ps.(i) m) (List.init (Array.length ps) Fun.id)))
+          minterms
+      in
+      let chosen = Hashtbl.create 16 in
+      (* Essential primes: sole cover of some minterm. *)
+      List.iter
+        (fun (_, cs) ->
+          match cs with [ i ] -> Hashtbl.replace chosen i () | _ -> ())
+        covers_of_m;
+      let covered m =
+        List.exists (fun i -> Hashtbl.mem chosen i)
+          (List.assoc m covers_of_m)
+      in
+      let rec greedy () =
+        let remaining = List.filter (fun (m, _) -> not (covered m)) covers_of_m in
+        if remaining <> [] then begin
+          let gain = Array.make (Array.length ps) 0 in
+          List.iter
+            (fun (_, cs) -> List.iter (fun i -> gain.(i) <- gain.(i) + 1) cs)
+            remaining;
+          let best = ref 0 in
+          Array.iteri (fun i g -> if g > gain.(!best) then best := i) gain;
+          if gain.(!best) = 0 then ()
+          else begin
+            Hashtbl.replace chosen !best ();
+            greedy ()
+          end
+        end
+      in
+      greedy ();
+      (* Redundancy removal: drop chosen primes whose minterms are covered by
+         the others. *)
+      let selected = Hashtbl.fold (fun i () acc -> i :: acc) chosen [] in
+      let drop_if_redundant kept i =
+        let others = List.filter (fun j -> j <> i) kept in
+        let all_covered =
+          List.for_all
+            (fun (m, _) -> List.exists (fun j -> Cube.mem ps.(j) m) others)
+            covers_of_m
+        in
+        if all_covered then others else kept
+      in
+      let irredundant = List.fold_left drop_if_redundant selected selected in
+      Sop.make n (List.map (fun i -> ps.(i)) irredundant)
+    end
+end
+
+(* An on-set at one of five densities (1/8 .. 7/8) and, half the time, a
+   random don't-care set disjoint from it. *)
+let gen_on_dc n =
+  QCheck.make
+    ~print:(fun (on, dc) -> Printf.sprintf "on=%s dc=%s" (Tt.to_hex on) (Tt.to_hex dc))
+    (QCheck.Gen.map
+       (fun (seed, density, with_dc) ->
+         let st = Random.State.make [| seed |] in
+         let r () = Tt.random st n in
+         let on =
+           match density with
+           | 0 -> Tt.lor_ (r ()) (Tt.lor_ (r ()) (r ()))
+           | 1 -> Tt.lor_ (r ()) (r ())
+           | 2 -> r ()
+           | 3 -> Tt.land_ (r ()) (r ())
+           | _ -> Tt.land_ (r ()) (Tt.land_ (r ()) (r ()))
+         in
+         let dc =
+           if with_dc then Tt.land_ (Tt.land_ (r ()) (r ())) (Tt.lnot on)
+           else Tt.const_false n
+         in
+         (on, dc))
+       QCheck.Gen.(triple int (int_bound 4) bool))
+
+let prop_matches_reference n ~count =
+  qtest ~count (Printf.sprintf "matches reference: %d vars" n) (gen_on_dc n)
+    (fun (on, dc) ->
+      Minimize.primes ~on ~dc = Ref.primes ~on ~dc
+      && Minimize.minimum_cover ~on ~dc = Ref.minimum_cover ~on ~dc
+      && Minimize.min_sops on
+         = ( Ref.minimum_cover ~on ~dc:(Tt.const_false n),
+             Ref.minimum_cover ~on:(Tt.lnot on) ~dc:(Tt.const_false n) ))
+
+let props_match_reference =
+  List.map
+    (fun n -> prop_matches_reference n ~count:(match n with 8 -> 20 | 7 -> 60 | _ -> 300))
+    (List.init 9 Fun.id)
 
 (* --- Espresso ------------------------------------------------------------ *)
 
@@ -314,6 +472,7 @@ let () =
           prop_primes_maximal;
           Alcotest.test_case "known minimum" `Quick test_known_minimum;
         ] );
+      ("reference", props_match_reference);
       ( "espresso",
         [
           prop_espresso_exact;
