@@ -15,44 +15,46 @@
      dune exec bench/main.exe extension       -- other serial-prefix shapes
      dune exec bench/main.exe egraph          -- portfolio vs each fixed
                                                  optimizer on the fast subset
-                                                 minus C432, per-arm costs +
-                                                 winner-BLIF md5, all-Det JSON
-                                                 (BENCH_egraph.json /
-                                                  $BENCH_EGRAPH_OUT)
-     dune exec bench/main.exe par             -- parallel-runtime scaling + JSON
-                                                 (BENCH_par.json / $BENCH_PAR_OUT,
-                                                  domain counts: $BENCH_PAR_JOBS)
+                                                 minus C432, checked against
+                                                 BENCH_egraph.json (gate 10)
+     dune exec bench/main.exe par             -- parallel-runtime scaling and
+                                                 overhead (gate 2)
      dune exec bench/main.exe incr            -- incremental analyses vs
-                                                 from-scratch + JSON
-                                                 (BENCH_incr.json / $BENCH_INCR_OUT)
+                                                 from-scratch (gate 3)
      dune exec bench/main.exe sat             -- incremental SAT core: the
                                                  sweep kernel (3x sat_sweep +
                                                  cec, Det stats + swept-BLIF
-                                                 md5 vs the seed solver) and
+                                                 md5 vs the seed solver),
                                                  SAT-bound cross-architecture
-                                                 miters with before/after
-                                                 speedups + JSON
-                                                 (BENCH_sat.json /
-                                                  $BENCH_SAT_OUT; knob:
-                                                  $BENCH_SAT_MITERS)
+                                                 miters, and database
+                                                 reduction in a dalu driver
+                                                 run (gate 8)
      dune exec bench/main.exe obs             -- telemetry cost + journal
                                                  determinism: engine runs with
                                                  journaling off vs on (+ live
                                                  Metrics scrapes), then the
                                                  journal Det digest across
-                                                 -j 1/4 and warm/cold
-                                                 (BENCH_obs.json / $BENCH_OBS_OUT)
+                                                 -j 1/4 and warm/cold (gate 9)
      dune exec bench/main.exe all             -- table1 + table2 + ablation
      dune exec bench/main.exe all-full        -- table1 + table2-full +
                                                  ablation + extension
 
-   par, incr, sat, obs and egraph exit non-zero when their own checks
-   fail (see each target); an unknown target exits 2 before any runs.
+   Every gate target exits non-zero when one of its own checks fails; an
+   unknown target exits 2 before any runs.
+
+   par, table2-guard, sat and egraph are identity checks: each runs its
+   workload once per pool size in BENCH_PAR_JOBS (default "1 4"; the
+   list must include 1), in one process, and exits 1 naming the first
+   differing path unless the workload's result and the report's
+   deterministic subtree are equal at every size (see [across_jobs]).
 
    Observation (lib/obs) plumbing:
      --stats / --report FILE / --trace FILE   -- record counters + phase spans
                                                  while running the targets and
-                                                 export them at the end
+                                                 export them at the end (an
+                                                 identity target resets the
+                                                 recording before each run,
+                                                 so it exports its last run)
      check-report FILE                        -- validate a --report JSON file
                                                  (schema, types, invariants)
      check-trace FILE                         -- validate a --trace JSON file
@@ -65,15 +67,15 @@
                                                  subtrees of two reports
 
    `-j N` (or `--jobs N`, or LOOKAHEAD_JOBS=N) sets the domain-pool
-   size for every target; `-j 1` bypasses the pool entirely. Tables are
-   bit-identical at any -j: every (circuit x tool) cell is an
+   size for the other targets; `-j 1` bypasses the pool entirely. Tables
+   are bit-identical at any -j: every (circuit x tool) cell is an
    independent pool job that builds its circuit itself, and results are
    assembled in submission order (see lib/par). The one exception is
    the anytime deadline (Driver.options.time_limit_s): a run the
    deadline cuts short is a function of wall-clock scheduling by
-   construction, so the `par` identity workload disables the deadline
-   and drops the one fast-subset circuit (C432) whose run is only
-   bounded by it.
+   construction, so the identity workloads disable the deadline and
+   drop the one fast-subset circuit (C432) whose run is only bounded by
+   it.
 
    Absolute numbers differ from the paper (synthetic substrates, see
    DESIGN.md); the shape — which tool wins, by roughly what factor — is
@@ -89,21 +91,18 @@ let tools : (string * (Aig.t -> Aig.t)) list =
 
 (* The same four tools with the lookahead anytime deadline disabled.
    The deadline makes cut-short results depend on wall-clock
-   scheduling, so the cross-[-j] identity check in [par_bench] must run
-   a workload where it can never fire. The driver terminates without it
+   scheduling, so the cross-[-j] identity checks must run a workload
+   where it can never fire. The driver terminates without it
    (the round loops are depth-improvement fixpoints with bounded
    budgets); the deadline only matters for circuits like C432 where
    convergence is slower than anyone wants to wait. *)
+let nolimit = { Lookahead.Driver.default with time_limit_s = infinity }
+
 let tools_nolimit : (string * (Aig.t -> Aig.t)) list =
   List.map
     (fun (name, f) ->
       if String.equal name "Lookahead" then
-        ( name,
-          fun g ->
-            Lookahead.optimize
-              ~options:
-                { Lookahead.Driver.default with time_limit_s = infinity }
-              g )
+        (name, fun g -> Lookahead.optimize ~options:nolimit g)
       else (name, f))
     tools
 
@@ -161,6 +160,11 @@ let fast_subset =
     "dalu"; "C432"; "C880"; "C1355"; "C1908"; "sparc_tlu_intctl_flat";
     "lsu_stb_ctl_flat";
   ]
+
+(* The identity workloads' circuits: C432 is the one fast-subset circuit
+   only the anytime deadline bounds (see [tools_nolimit]). *)
+let fast_subset_nolimit =
+  List.filter (fun n -> not (String.equal n "C432")) fast_subset
 
 let table2 ?(tools = tools) ?names ~full () =
   Printf.printf
@@ -335,29 +339,255 @@ let extension () =
     cases;
   print_newline ()
 
+(* ------------------------------------------------------------------ *)
+(* Observation-report validators: check_regression.sh gate 4 runs the  *)
+(* optimizer with --report/--trace and then validates the files here,  *)
+(* and every identity gate validates each run's report in-process, so  *)
+(* a malformed export or a broken counter invariant fails CI.          *)
+(* ------------------------------------------------------------------ *)
+
+let fail fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline s;
+      exit 1)
+    fmt
+
+let parse_json_file what path =
+  match Obs.Json.of_string (Serve.Cli.read_file path) with
+  | Some j -> j
+  | None -> fail "%s: %s does not parse as JSON" what path
+
+(* [what] prefixes every failure message (a file name, or a gate run). *)
+let validate_report what j =
+  (match Obs.Json.member "schema" j with
+  | Some (Obs.Json.String "lookahead-obs-report/1") -> ()
+  | _ -> fail "%s: bad or missing schema" what);
+  let det = Obs.det_subtree j in
+  (* The deterministic subtree must never leak wall-clock data. *)
+  (match det with
+  | Obs.Json.Obj kvs ->
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem k [ "counters"; "gauges"; "histograms" ]) then
+          fail "%s: unexpected deterministic key %s" what k)
+      kvs
+  | _ -> fail "%s: missing deterministic subtree" what);
+  let section subtree name =
+    match Obs.Json.member name subtree with
+    | Some (Obs.Json.Obj kvs) -> kvs
+    | _ -> []
+  in
+  let check_int_section kind kvs =
+    List.iter
+      (fun (name, v) ->
+        match v with
+        | Obs.Json.Int n when n >= 0 -> ()
+        | _ -> fail "%s: %s %s is not a non-negative integer" what kind name)
+      kvs
+  in
+  let det_counters = section det "counters" in
+  check_int_section "counter" det_counters;
+  check_int_section "gauge" (section det "gauges");
+  let runtime =
+    match Obs.Json.member "runtime" j with
+    | Some r -> r
+    | None -> fail "%s: missing runtime subtree" what
+  in
+  check_int_section "counter" (section runtime "counters");
+  List.iter
+    (fun (name, v) ->
+      match (Obs.Json.member "count" v, Obs.Json.member "total_ns" v) with
+      | Some (Obs.Json.Int c), Some (Obs.Json.Int t) when c >= 0 && t >= 0 ->
+        ()
+      | _ -> fail "%s: malformed duration %s" what name)
+    (section runtime "durations");
+  (* Cross-counter invariants of the instrumented layers. *)
+  let value name =
+    match List.assoc_opt name det_counters with
+    | Some (Obs.Json.Int n) -> Some n
+    | _ -> None
+  in
+  List.iter
+    (fun cache ->
+      match
+        ( value (Printf.sprintf "bdd.%s_lookups" cache),
+          value (Printf.sprintf "bdd.%s_hits" cache),
+          value (Printf.sprintf "bdd.%s_misses" cache) )
+      with
+      | Some l, Some h, Some m ->
+        if h + m <> l then
+          fail "%s: bdd.%s hits %d + misses %d <> lookups %d" what cache h
+            m l
+      | _ -> ())
+    [ "ite"; "restrict"; "compose" ];
+  (match (value "cec.sat_calls", value "cec.budget_exhausted") with
+  | Some s, Some b when b > s ->
+    fail "%s: cec.budget_exhausted %d > cec.sat_calls %d" what b s
+  | _ -> ());
+  (match (value "globals.updates", value "globals.recomputed") with
+  | Some 0, Some r when r > 0 ->
+    fail "%s: globals.recomputed %d with no updates" what r
+  | _ -> ());
+  List.length det_counters
+
+let check_report path =
+  let n =
+    validate_report ("check-report: " ^ path)
+      (parse_json_file "check-report" path)
+  in
+  Printf.printf "report OK: %s (%d deterministic counter(s))\n" path n
+
+let check_trace path =
+  let j = parse_json_file "check-trace" path in
+  let events =
+    match Obs.Json.member "traceEvents" j with
+    | Some (Obs.Json.List es) -> es
+    | _ -> fail "check-trace: %s: missing traceEvents list" path
+  in
+  let n_complete = ref 0 and tids = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      let str k =
+        match Obs.Json.member k e with
+        | Some (Obs.Json.String s) -> Some s
+        | _ -> None
+      in
+      let tid =
+        match Obs.Json.member "tid" e with
+        | Some (Obs.Json.Int t) -> t
+        | _ -> fail "check-trace: %s: event without integer tid" path
+      in
+      match str "ph" with
+      | Some "X" -> (
+        n_complete := !n_complete + 1;
+        match (Obs.Json.member "ts" e, Obs.Json.member "dur" e, str "name") with
+        | Some (Obs.Json.Float ts), Some (Obs.Json.Float dur), Some _
+          when ts >= 0.0 && dur >= 0.0 ->
+          if not (Hashtbl.mem tids tid) then
+            fail "check-trace: %s: track %d has no thread_name metadata" path
+              tid
+        | _ -> fail "check-trace: %s: malformed complete event" path)
+      | Some "M" -> Hashtbl.replace tids tid ()
+      | _ -> fail "check-trace: %s: unknown event phase" path)
+    events;
+  Printf.printf "trace OK: %s (%d span event(s) on %d track(s))\n" path
+    !n_complete (Hashtbl.length tids)
+
+(* ------------------------------------------------------------------ *)
+(* The identity comparator behind gates 2, 5, 8 and 10 and behind      *)
+(* compare-reports: a deterministic result and a report's              *)
+(* deterministic subtree, equal as Obs.Json trees or the first         *)
+(* differing path is named.                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* First differing path between two JSON trees with identical shape
+   expectations — a named mismatch beats a bare "differ" in CI logs. *)
+let rec first_diff path a b =
+  match (a, b) with
+  | Obs.Json.Obj xs, Obs.Json.Obj ys when List.map fst xs = List.map fst ys ->
+    List.fold_left2
+      (fun acc (k, va) (_, vb) ->
+        match acc with
+        | Some _ -> acc
+        | None -> first_diff (if path = "" then k else path ^ "." ^ k) va vb)
+      None xs ys
+  | _ -> if Obs.Json.equal a b then None else Some path
+
+(* What must be identical: [result] (Null when there is none, as for a
+   report file) and the report's deterministic subtree. *)
+let identity_view ?(result = Obs.Json.Null) report =
+  match Obs.det_subtree report with
+  | Obs.Json.Null -> None
+  | det -> Some (Obs.Json.Obj [ ("result", result); ("deterministic", det) ])
+
+let check_identical what (name_a, a) (name_b, b) =
+  match first_diff "" a b with
+  | None -> ()
+  | Some p -> fail "%s: %s and %s differ at %s" what name_a name_b p
+
+let compare_reports a b =
+  let view path =
+    match identity_view (parse_json_file "compare-reports" path) with
+    | Some v -> (path, v)
+    | None -> fail "compare-reports: %s: missing deterministic subtree" path
+  in
+  check_identical "compare-reports" (view a) (view b);
+  print_endline "deterministic subtrees identical"
+
+(* The pool sizes the identity gates compare: $BENCH_PAR_JOBS, default
+   "1 4", always including 1. Forced before any target runs, so a bad
+   list exits 2 with nothing done. *)
+let pool_sizes =
+  lazy
+    (let s = Option.value ~default:"1 4" (Sys.getenv_opt "BENCH_PAR_JOBS") in
+     let tokens =
+       List.filter
+         (fun t -> t <> "")
+         (String.split_on_char ' '
+            (String.map (function ',' -> ' ' | c -> c) s))
+     in
+     let js = List.filter_map int_of_string_opt tokens in
+     if
+       List.length js <> List.length tokens
+       || (not (List.mem 1 js))
+       || List.exists (fun j -> j < 1) js
+     then begin
+       Printf.eprintf
+         "bench: BENCH_PAR_JOBS='%s' is not a list of positive integers \
+          including 1\n"
+         s;
+       exit 2
+     end;
+     js)
+
+type 'a run = { jobs : int; value : 'a; seconds : float; snap : Obs.snapshot }
+
+(* Run [workload] once per pool size, in this process, with recording
+   on and reset before each run; validate each run's report, and exit 1
+   naming the first differing path unless [det value] and the report's
+   deterministic subtree are equal across every run. The largest pool
+   runs first by default, so it is the side that starts cold: first-use
+   races (a lazy table forced by two domains at once) only show there,
+   and the warm [-j 1] run that follows must still match it. *)
+let across_jobs ?jobs what ~det workload =
+  let jobs =
+    match jobs with
+    | Some js -> js
+    | None -> List.sort (fun a b -> compare b a) (Lazy.force pool_sizes)
+  in
+  let saved = Par.default_jobs () in
+  Obs.enable ();
+  let runs =
+    List.map
+      (fun j ->
+        Obs.reset ();
+        Par.set_default_jobs j;
+        let value, seconds = Obs.time workload in
+        Printf.printf "%s: -j %-2d %8.1f s\n%!" what j seconds;
+        { jobs = j; value; seconds; snap = Obs.snapshot () })
+      jobs
+  in
+  Par.set_default_jobs saved;
+  let view r =
+    let name = Printf.sprintf "-j %d" r.jobs in
+    let report = Obs.report_json r.snap in
+    ignore (validate_report (what ^ " " ^ name) report);
+    (name, Option.get (identity_view ~result:(det r.value) report))
+  in
+  (match List.map view runs with
+  | first :: rest -> List.iter (check_identical what first) rest
+  | [] -> ());
+  runs
+
 (* All bench wall-clocks go through the one shared monotonic clock. *)
 let wall f = snd (Obs.time f)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel-runtime scaling: re-run table1 + the table2 fast subset at  *)
-(* several domain-pool sizes, check the output is bit-identical to the  *)
-(* -j 1 run, and emit the wall-clocks as JSON (BENCH_par.json, or       *)
-(* $BENCH_PAR_OUT). Exits 1 when an output differs or the largest pool  *)
-(* is more than [par_overhead_limit_pct] slower than -j 1 (gate 2), and *)
-(* 2 when $BENCH_PAR_JOBS is not a list of integers that includes 1.    *)
-(*                                                                      *)
-(* The workload runs with the lookahead anytime deadline disabled and   *)
-(* without C432 (see [tools_nolimit]): a deadline-cut result depends on *)
-(* how much CPU the cell got before the wall-clock ran out, which is    *)
-(* exactly the scheduling dependence the identity check exists to rule  *)
-(* out of everything else.                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Capture everything printed by [f] so two runs can be compared
-   byte-for-byte. The tables print through stdout directly, so swap the
-   fd rather than threading a formatter through every table. *)
+(* Capture everything printed by [f]: the tables print through stdout
+   directly, so swap the fd rather than threading a formatter through
+   every table. *)
 let with_captured_stdout f =
-  let tmp = Filename.temp_file "bench_par" ".txt" in
+  let tmp = Filename.temp_file "bench_table" ".txt" in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
   in
@@ -377,122 +607,61 @@ let with_captured_stdout f =
      restore ();
      Sys.remove tmp;
      raise e);
-  let ic = open_in_bin tmp in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
+  let text = Serve.Cli.read_file tmp in
   Sys.remove tmp;
   text
+
+(* ------------------------------------------------------------------ *)
+(* Parallel-runtime scaling (gate 2): table1 + the table2 fast subset, *)
+(* deadline off and without C432 (see [tools_nolimit]), through       *)
+(* [across_jobs] at every size in BENCH_PAR_JOBS, in the listed order  *)
+(* so the overhead ratio stays comparable across commits. The printed *)
+(* tables are the result. Exits 1 when the largest pool is more than   *)
+(* [par_overhead_limit_pct] slower than -j 1.                           *)
+(* ------------------------------------------------------------------ *)
 
 (* The parallel runtime's overhead bound: the largest pool may run at
    most this much slower than -j 1. *)
 let par_overhead_limit_pct = 25.0
 
 let par_bench () =
-  let jobs_list =
-    match Sys.getenv_opt "BENCH_PAR_JOBS" with
-    | Some s ->
-      let tokens =
-        List.filter
-          (fun t -> t <> "")
-          (String.split_on_char ' '
-             (String.map (function ',' -> ' ' | c -> c) s))
-      in
-      let js = List.filter_map int_of_string_opt tokens in
-      (* A typo'd list must not silently fall back to the full (and
-         expensive) default set, and every run is compared with -j 1. *)
-      if List.length js <> List.length tokens || not (List.mem 1 js) then begin
-        Printf.eprintf
-          "bench par: BENCH_PAR_JOBS='%s' is not a list of integers \
-           including 1\n"
-          s;
-        exit 2
-      end;
-      js
-    | None -> [ 1; 2; 4; 8 ]
-  in
   Printf.printf
     "== Parallel runtime scaling (table1 + table2 fast subset sans \
      C432, no deadline), host domains: %d ==\n%!"
     (Domain.recommended_domain_count ());
-  let names =
-    List.filter (fun n -> not (String.equal n "C432")) fast_subset
-  in
-  let workload () =
-    table1 ~tools:tools_nolimit ();
-    table2 ~tools:tools_nolimit ~names ~full:false ()
-  in
+  let jobs = Lazy.force pool_sizes in
   let runs =
-    List.map
-      (fun j ->
-        Par.set_default_jobs j;
-        let text, dt = Obs.time (fun () -> with_captured_stdout workload) in
-        Printf.printf "-j %-2d  %8.1f s\n%!" j dt;
-        (j, dt, text))
-      jobs_list
+    across_jobs ~jobs "par"
+      ~det:(fun text -> Obs.Json.String text)
+      (fun () ->
+        with_captured_stdout (fun () ->
+            table1 ~tools:tools_nolimit ();
+            table2 ~tools:tools_nolimit ~names:fast_subset_nolimit
+              ~full:false ()))
   in
-  Par.set_default_jobs 0;
-  let _, base_dt, base_text = List.find (fun (j, _, _) -> j = 1) runs in
-  let top_j = List.fold_left max 1 jobs_list in
-  let _, top_dt, _ = List.find (fun (j, _, _) -> j = top_j) runs in
-  let rows =
-    List.map
-      (fun (j, dt, text) -> (j, dt, String.equal text base_text))
-      runs
-  in
-  Printf.printf "\n%-6s %10s %9s %10s\n" "jobs" "seconds" "speedup"
-    "identical";
+  let seconds j = (List.find (fun r -> r.jobs = j) runs).seconds in
+  let base_dt = seconds 1 in
+  let top_j = List.fold_left max 1 jobs in
+  let top_dt = seconds top_j in
+  Printf.printf "\n%-6s %10s %9s\n" "jobs" "seconds" "speedup";
   List.iter
-    (fun (j, dt, same) ->
-      Printf.printf "%-6d %10.1f %8.2fx %10s\n" j dt (base_dt /. dt)
-        (if same then "yes" else "NO"))
-    rows;
-  print_newline ();
-  let out =
-    match Sys.getenv_opt "BENCH_PAR_OUT" with
-    | Some p -> p
-    | None -> "BENCH_par.json"
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"par-bench/v1\",\n\
-    \  \"workload\": \"table1+table2-fast-sans-C432-nolimit\",\n\
-    \  \"host_domains\": %d,\n\
-    \  \"runs\": [\n"
-    (Domain.recommended_domain_count ());
-  let rec emit = function
-    | [] -> ()
-    | (j, dt, same) :: rest ->
-      Printf.fprintf oc
-        "    {\"jobs\": %d, \"seconds\": %.3f, \"identical\": %b}%s\n" j dt
-        same
-        (if rest = [] then "" else ",");
-      emit rest
-  in
-  emit rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n\n" out;
-  if not (List.for_all (fun (_, _, same) -> same) rows) then begin
-    prerr_endline "par: output differs across -j values";
-    exit 1
-  end;
-  if top_dt > base_dt *. (1.0 +. (par_overhead_limit_pct /. 100.0)) then begin
-    Printf.eprintf "par: -j %d took %.3f s, %+.1f%% against -j 1 (> %.0f%%)\n"
-      top_j top_dt
+    (fun r ->
+      Printf.printf "%-6d %10.1f %8.2fx\n" r.jobs r.seconds
+        (base_dt /. r.seconds))
+    runs;
+  print_endline "\noutput and deterministic report identical at every -j\n";
+  if top_dt > base_dt *. (1.0 +. (par_overhead_limit_pct /. 100.0)) then
+    fail "par: -j %d took %.3f s, %+.1f%% against -j 1 (> %.0f%%)" top_j
+      top_dt
       ((top_dt -. base_dt) /. base_dt *. 100.0)
-      par_overhead_limit_pct;
-    exit 1
-  end
+      par_overhead_limit_pct
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-analysis benchmark: per-phase timings of the dirty-      *)
 (* region engines (cached cones, incremental levels, Globals.update,    *)
 (* batched SPCF) against their from-scratch equivalents, on the Table 2 *)
-(* fast subset, with identical-result checks. Emitted as JSON           *)
-(* (BENCH_incr.json, or $BENCH_INCR_OUT); exits non-zero when a result  *)
-(* differs or incremental is slower in total (gate 3).                  *)
+(* fast subset, with identical-result checks. Exits non-zero when a     *)
+(* result differs or incremental is slower in total (gate 3).           *)
 (* ------------------------------------------------------------------ *)
 
 let incr_bench () =
@@ -670,45 +839,11 @@ let incr_bench () =
     total_scr total_inc
     (total_scr /. Float.max 1e-9 total_inc)
     (if all_same then "yes" else "NO");
-  let out =
-    match Sys.getenv_opt "BENCH_INCR_OUT" with
-    | Some p -> p
-    | None -> "BENCH_incr.json"
-  in
-  let oc = open_out out in
-  Printf.fprintf oc "{\n  \"schema\": \"incr-bench/v1\",\n  \"rows\": [\n";
-  let rec emit = function
-    | [] -> ()
-    | (name, phase, s, i, same) :: rest ->
-      Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"phase\": \"%s\", \"scratch_s\": %.6f, \
-         \"incr_s\": %.6f, \"identical\": %b}%s\n"
-        name phase s i same
-        (if rest = [] then "" else ",");
-      emit rest
-  in
-  emit rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"totals\": {\"scratch_s\": %.6f, \"incr_s\": %.6f, \"speedup\": \
-     %.3f, \"all_identical\": %b}\n\
-     }\n"
-    total_scr total_inc
-    (total_scr /. Float.max 1e-9 total_inc)
-    all_same;
-  close_out oc;
-  Printf.printf "wrote %s\n\n" out;
-  if not all_same then begin
-    prerr_endline "incr: incremental result differs from from-scratch";
-    exit 1
-  end;
+  if not all_same then fail "incr: incremental result differs from from-scratch";
   (* The engines exist to be faster, so parity is the floor. *)
-  if total_inc > total_scr then begin
-    Printf.eprintf
-      "incr: incremental total %.6f s slower than from-scratch %.6f s\n"
-      total_inc total_scr;
-    exit 1
-  end
+  if total_inc > total_scr then
+    fail "incr: incremental total %.6f s slower than from-scratch %.6f s"
+      total_inc total_scr
 
 (* ------------------------------------------------------------------ *)
 (* Incremental SAT bench (gate 8): the solver in both of its roles.    *)
@@ -717,9 +852,8 @@ let incr_bench () =
 (* Two workloads. The sweep rows repeat the production kernel — three
    rounds of [Sweep.sat_sweep] plus the final [Cec.check] — on the
    Table 2 fast subset; they pin the swept BLIF (machine-independent
-   md5) and the full Det solver-stat vector, and they are where the
-   database-reduction machinery must demonstrably fire. The miter rows
-   are cross-architecture equivalence checks whose runtime is almost
+   md5) and the full Det solver-stat vector. The miter rows are
+   cross-architecture equivalence checks whose runtime is almost
    entirely SAT conflicts; they carry the before/after speedup claim.
 
    Seed baselines were measured at commit 0f72870 (the pre-arena
@@ -737,27 +871,28 @@ let sat_sweep_seed =
     ("lsu_stb_ctl_flat", 0.0184, "324d833bf6d0548de1678bd2a6246c1d");
   ]
 
-let sat_miter_seed =
+let sat_miters =
   [
-    ("add32_rca_cla", 0.049);
-    ("add64_rca_csel", 0.040);
-    ("mult6", 1.475);
-    ("mult7", 14.857);
-    ("mult8", 278.55);
+    ( "add32_rca_cla",
+      0.049,
+      fun () ->
+        (Circuits.Adders.ripple_carry 32, Circuits.Adders.carry_lookahead 32)
+    );
+    ( "add64_rca_csel",
+      0.040,
+      fun () ->
+        (Circuits.Adders.ripple_carry 64, Circuits.Adders.carry_select 64) );
+    ( "mult6",
+      1.475,
+      fun () ->
+        ( Circuits.Arith.multiplier_array 6,
+          Circuits.Arith.multiplier_wallace 6 ) );
+    ( "mult7",
+      14.857,
+      fun () ->
+        ( Circuits.Arith.multiplier_array 7,
+          Circuits.Arith.multiplier_wallace 7 ) );
   ]
-
-let sat_miter_build = function
-  | "add32_rca_cla" ->
-    (Circuits.Adders.ripple_carry 32, Circuits.Adders.carry_lookahead 32)
-  | "add64_rca_csel" ->
-    (Circuits.Adders.ripple_carry 64, Circuits.Adders.carry_select 64)
-  | "mult6" ->
-    (Circuits.Arith.multiplier_array 6, Circuits.Arith.multiplier_wallace 6)
-  | "mult7" ->
-    (Circuits.Arith.multiplier_array 7, Circuits.Arith.multiplier_wallace 7)
-  | "mult8" ->
-    (Circuits.Arith.multiplier_array 8, Circuits.Arith.multiplier_wallace 8)
-  | other -> invalid_arg ("bench sat: unknown miter " ^ other)
 
 let sat_det_counters =
   [
@@ -766,52 +901,51 @@ let sat_det_counters =
     "sat.vivified_lits";
   ]
 
-let sat_bench () =
-  (* Default miter list stops at mult7 (~2 s here, ~15 s at the seed);
-     mult8 is reachable via the knob but far too slow for a gate. *)
-  let miters =
-    match Sys.getenv_opt "BENCH_SAT_MITERS" with
-    | Some s ->
-      List.filter
-        (fun t -> t <> "")
-        (String.split_on_char ' '
-           (String.map (function ',' -> ' ' | c -> c) s))
-    | None -> [ "add32_rca_cla"; "add64_rca_csel"; "mult6"; "mult7" ]
-  in
-  Obs.enable ();
-  let counter_deltas before snap =
-    List.map
-      (fun n -> (n, Obs.counter_value snap n - List.assoc n before))
-      sat_det_counters
-  in
-  let counters snap =
+(* One run of both workloads at the current pool size. Prints a row per
+   workload and exits 1 when a sweep loses equivalence, a swept BLIF's
+   md5 leaves the seed's, a miter is refuted, the miter total exceeds
+   the seed total, or no reduction fired. The result is every row's Det
+   solver stats (plus the swept-BLIF md5), keyed by workload name, for
+   [across_jobs] to compare. *)
+let sat_run () =
+  let counters () =
+    let snap = Obs.snapshot () in
     List.map (fun n -> (n, Obs.counter_value snap n)) sat_det_counters
   in
-  let gauge_of snap name =
+  let deltas before =
+    List.map2 (fun (n, b) (_, a) -> (n, a - b)) before (counters ())
+  in
+  let arena_peak () =
     (* Gauges merge by max and have no snapshot accessor; read them out
        of the Det subtree of the report. *)
-    match Obs.Json.member "deterministic" (Obs.report_json snap) with
-    | Some d -> (
-      match Obs.Json.member "gauges" d with
-      | Some gs -> (
-        match Obs.Json.member name gs with
-        | Some (Obs.Json.Int n) -> n
-        | _ -> 0)
-      | None -> 0)
+    let report = Obs.report_json (Obs.snapshot ()) in
+    match Obs.Json.member "gauges" (Obs.det_subtree report) with
+    | Some gs -> (
+      match Obs.Json.member "sat.arena_peak_words" gs with
+      | Some (Obs.Json.Int n) -> n
+      | _ -> 0)
     | None -> 0
   in
+  let stat det n = List.assoc n det in
+  let row_json det extra =
+    Obs.Json.Obj (List.map (fun (n, v) -> (n, Obs.Json.Int v)) det @ extra)
+  in
   Printf.printf
-    "== Incremental SAT: sweep kernel (3x sat_sweep + cec) and \
-     cross-architecture miters ==\n\
-     %-24s %-7s %9s %9s %8s | %9s %9s %6s %5s %s\n%!"
-    "workload" "kind" "seconds" "seed-s" "speedup" "conflicts" "props"
-    "reduc" "del" "blif";
+    "%-24s %-7s %9s %9s %8s | %9s %9s %6s %5s %s\n%!" "workload" "kind"
+    "seconds" "seed-s" "speedup" "conflicts" "props" "reduc" "del" "blif";
   let failures = ref 0 in
+  let failure fmt =
+    Printf.ksprintf
+      (fun s ->
+        prerr_endline ("bench sat: " ^ s);
+        incr failures)
+      fmt
+  in
   let sweep_rows =
     List.map
       (fun (name, base_s, base_md5) ->
         let g = Circuits.Suite.build name in
-        let before = counters (Obs.snapshot ()) in
+        let before = counters () in
         let md5 = ref "" in
         Gc.full_major ();
         let (), secs =
@@ -821,337 +955,108 @@ let sat_bench () =
                 (match Aig.Cec.check g swept with
                 | Aig.Cec.Equivalent -> ()
                 | Aig.Cec.Counterexample _ ->
-                  Printf.eprintf "bench sat: %s: sweep not equivalent\n" name;
-                  incr failures);
+                  failure "%s: sweep not equivalent" name);
                 if r = 1 then
                   md5 :=
                     Digest.to_hex
                       (Digest.string (Aig.Io.blif_to_string ~model:name swept))
               done)
         in
-        let snap = Obs.snapshot () in
-        let det = counter_deltas before snap in
-        let arena_peak = gauge_of snap "sat.arena_peak_words" in
+        let det = deltas before in
         let matches = String.equal !md5 base_md5 in
-        if not matches then begin
-          Printf.eprintf "bench sat: %s: swept BLIF md5 %s != seed %s\n" name
-            !md5 base_md5;
-          incr failures
-        end;
+        if not matches then
+          failure "%s: swept BLIF md5 %s != seed %s" name !md5 base_md5;
         Printf.printf
           "%-24s %-7s %9.4f %9.4f %8s | %9d %9d %6d %5d %s\n%!" name "sweep3x"
           secs base_s "-"
-          (List.assoc "sat.conflicts" det)
-          (List.assoc "sat.propagations" det)
-          (List.assoc "sat.reductions" det)
-          (List.assoc "sat.learnts_deleted" det)
+          (stat det "sat.conflicts")
+          (stat det "sat.propagations")
+          (stat det "sat.reductions")
+          (stat det "sat.learnts_deleted")
           (if matches then "=seed" else "DIFFERS");
-        (name, secs, base_s, det, arena_peak, !md5, matches))
+        ( name,
+          secs,
+          base_s,
+          det,
+          row_json det
+            [
+              ("sat.arena_peak_words", Obs.Json.Int (arena_peak ()));
+              ("blif_md5", Obs.Json.String !md5);
+            ] ))
       sat_sweep_seed
   in
   let miter_rows =
     List.map
-      (fun name ->
-        let base_s =
-          match List.assoc_opt name sat_miter_seed with
-          | Some s -> s
-          | None -> 0.0
-        in
-        let a, b = sat_miter_build name in
-        let before = counters (Obs.snapshot ()) in
+      (fun (name, base_s, build) ->
+        let a, b = build () in
+        let before = counters () in
         Gc.full_major ();
         let v, secs = Obs.time (fun () -> Aig.Cec.check a b) in
         (match v with
         | Aig.Cec.Equivalent -> ()
-        | Aig.Cec.Counterexample _ ->
-          Printf.eprintf "bench sat: %s: miter refuted\n" name;
-          incr failures);
-        let det = counter_deltas before (Obs.snapshot ()) in
-        let speedup = if secs > 0.0 then base_s /. secs else 0.0 in
-        Printf.printf
-          "%-24s %-7s %9.4f %9.4f %7.2fx | %9d %9d %6d %5d -\n%!" name
-          "miter" secs base_s speedup
-          (List.assoc "sat.conflicts" det)
-          (List.assoc "sat.propagations" det)
-          (List.assoc "sat.reductions" det)
-          (List.assoc "sat.learnts_deleted" det);
-        (name, secs, base_s, det, speedup))
-      miters
+        | Aig.Cec.Counterexample _ -> failure "%s: miter refuted" name);
+        let det = deltas before in
+        Printf.printf "%-24s %-7s %9.4f %9.4f %7.2fx | %9d %9d %6d %5d -\n%!"
+          name "miter" secs base_s (base_s /. secs)
+          (stat det "sat.conflicts")
+          (stat det "sat.propagations")
+          (stat det "sat.reductions")
+          (stat det "sat.learnts_deleted");
+        (name, secs, base_s, det, row_json det []))
+      sat_miters
   in
   let sum f rows = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let sumi f rows = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let sweep_s = sum (fun (_, s, _, _, _, _, _) -> s) sweep_rows in
-  let sweep_base_s = sum (fun (_, _, b, _, _, _, _) -> b) sweep_rows in
-  let miter_s = sum (fun (_, s, _, _, _) -> s) miter_rows in
-  let miter_base_s = sum (fun (_, _, b, _, _) -> b) miter_rows in
+  let secs_of (_, s, _, _, _) = s and seed_of (_, _, b, _, _) = b in
+  let total n =
+    List.fold_left
+      (fun acc (_, _, _, det, _) -> acc + stat det n)
+      0 (sweep_rows @ miter_rows)
+  in
+  let miter_s = sum secs_of miter_rows in
+  let miter_base_s = sum seed_of miter_rows in
   (* Totals span both workloads: the sweep kernel's per-query conflict
      counts sit below the first reduction point (that is the point of a
      300-conflict [reduce_base] on easy queries), so the database
-     machinery shows up on the miter rows and in the driver reports
-     (gate 8 checks a Table 2 report for nonzero reductions). *)
-  let total_reductions =
-    sumi (fun (_, _, _, det, _, _, _) -> List.assoc "sat.reductions" det)
-      sweep_rows
-    + sumi (fun (_, _, _, det, _) -> List.assoc "sat.reductions" det)
-        miter_rows
-  in
-  let total_deleted =
-    sumi
-      (fun (_, _, _, det, _, _, _) -> List.assoc "sat.learnts_deleted" det)
-      sweep_rows
-    + sumi
-        (fun (_, _, _, det, _) -> List.assoc "sat.learnts_deleted" det)
-        miter_rows
-  in
-  let all_match =
-    List.for_all (fun (_, _, _, _, _, _, m) -> m) sweep_rows
-  in
-  let miter_speedup = if miter_s > 0.0 then miter_base_s /. miter_s else 0.0 in
+     machinery shows up on the miter rows and in the dalu driver run
+     [sat_bench] checks. *)
+  let total_reductions = total "sat.reductions" in
   Printf.printf
     "totals: sweep %.4fs (seed %.4fs), miters %.4fs (seed %.4fs, %.2fx), \
      reductions %d, learnts deleted %d\n\n%!"
-    sweep_s sweep_base_s miter_s miter_base_s miter_speedup total_reductions
-    total_deleted;
-  let out =
-    match Sys.getenv_opt "BENCH_SAT_OUT" with
-    | Some p -> p
-    | None -> "BENCH_sat.json"
-  in
-  let oc = open_out out in
-  let det_json det arena_peak md5 =
-    String.concat ", "
-      (List.map
-         (fun (n, v) -> Printf.sprintf "\"%s\": %d" n v)
-         (det @ [ ("sat.arena_peak_words", arena_peak) ])
-      @
-      match md5 with
-      | Some m -> [ Printf.sprintf "\"blif_md5\": \"%s\"" m ]
-      | None -> [])
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"sat-bench/v1\",\n\
-    \  \"rows\": [\n";
-  let row_strings =
-    List.map
-      (fun (name, secs, base_s, det, arena_peak, md5, matches) ->
-        (* One row per line, det fields inline: gate 8 greps the "det"
-           lines of two -j runs and requires them byte-identical. *)
-        Printf.sprintf
-          "    {\"circuit\": \"%s\", \"kind\": \"sweep3x\", \"seconds\": \
-           %.6f, \"baseline_seconds\": %.6f, \"blif_match_baseline\": %b, \
-           \"det\": {%s}}"
-          name secs base_s matches
-          (det_json det arena_peak (Some md5)))
-      sweep_rows
-    @ List.map
-        (fun (name, secs, base_s, det, speedup) ->
-          Printf.sprintf
-            "    {\"circuit\": \"%s\", \"kind\": \"miter\", \"seconds\": \
-             %.6f, \"baseline_seconds\": %.6f, \"speedup\": %.3f, \"det\": \
-             {%s}}"
-            name secs base_s speedup
-            (det_json det 0 None))
-        miter_rows
-  in
-  output_string oc (String.concat ",\n" row_strings);
-  Printf.fprintf oc
-    "\n\
-    \  ],\n\
-    \  \"totals\": {\"sweep_s\": %.6f, \"baseline_sweep_s\": %.6f, \
-     \"miter_s\": %.6f, \"baseline_miter_s\": %.6f, \"miter_speedup\": \
-     %.3f, \"reductions\": %d, \"learnts_deleted\": %d, \
-     \"all_blif_match\": %b}\n\
-     }\n"
-    sweep_s sweep_base_s miter_s miter_base_s miter_speedup total_reductions
-    total_deleted all_match;
-  close_out oc;
-  Printf.printf "wrote %s\n\n" out;
-  if miter_s > miter_base_s then begin
-    Printf.eprintf "bench sat: miter total %.6f s exceeds seed %.6f s\n"
-      miter_s miter_base_s;
-    incr failures
-  end;
-  if total_reductions = 0 then begin
-    prerr_endline "bench sat: no clause-database reductions fired";
-    incr failures
-  end;
-  if !failures > 0 then begin
-    Printf.eprintf "bench sat: %d failure(s)\n" !failures;
-    exit 1
-  end
+    (sum secs_of sweep_rows) (sum seed_of sweep_rows) miter_s miter_base_s
+    (miter_base_s /. miter_s) total_reductions
+    (total "sat.learnts_deleted");
+  if miter_s > miter_base_s then
+    failure "miter total %.6f s exceeds seed %.6f s" miter_s miter_base_s;
+  if total_reductions = 0 then failure "no clause-database reductions fired";
+  if !failures > 0 then fail "bench sat: %d failure(s)" !failures;
+  Obs.Json.Obj
+    (List.map (fun (name, _, _, _, json) -> (name, json))
+       (sweep_rows @ miter_rows))
 
-(* ------------------------------------------------------------------ *)
-(* Observation-report validators: check_regression.sh gate 4 runs the  *)
-(* optimizer with --report/--trace and then validates the files here,  *)
-(* so a malformed export or a broken counter invariant fails CI.       *)
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
-
-let fail fmt =
-  Printf.ksprintf
-    (fun s ->
-      prerr_endline s;
-      exit 1)
-    fmt
-
-let parse_json_file what path =
-  match Obs.Json.of_string (read_file path) with
-  | Some j -> j
-  | None -> fail "%s: %s does not parse as JSON" what path
-
-let check_report path =
-  let j = parse_json_file "check-report" path in
-  (match Obs.Json.member "schema" j with
-  | Some (Obs.Json.String "lookahead-obs-report/1") -> ()
-  | _ -> fail "check-report: %s: bad or missing schema" path);
-  let det = Obs.det_subtree j in
-  (* The deterministic subtree must never leak wall-clock data. *)
-  (match det with
-  | Obs.Json.Obj kvs ->
-    List.iter
-      (fun (k, _) ->
-        if not (List.mem k [ "counters"; "gauges"; "histograms" ]) then
-          fail "check-report: %s: unexpected deterministic key %s" path k)
-      kvs
-  | _ -> fail "check-report: %s: missing deterministic subtree" path);
-  let section subtree name =
-    match Obs.Json.member name subtree with
-    | Some (Obs.Json.Obj kvs) -> kvs
-    | _ -> []
-  in
-  let check_int_section what kvs =
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | Obs.Json.Int n when n >= 0 -> ()
-        | _ ->
-          fail "check-report: %s: %s %s is not a non-negative integer" path
-            what name)
-      kvs
-  in
-  let det_counters = section det "counters" in
-  check_int_section "counter" det_counters;
-  check_int_section "gauge" (section det "gauges");
-  let runtime =
-    match Obs.Json.member "runtime" j with
-    | Some r -> r
-    | None -> fail "check-report: %s: missing runtime subtree" path
-  in
-  check_int_section "counter" (section runtime "counters");
-  List.iter
-    (fun (name, v) ->
-      match (Obs.Json.member "count" v, Obs.Json.member "total_ns" v) with
-      | Some (Obs.Json.Int c), Some (Obs.Json.Int t) when c >= 0 && t >= 0 ->
-        ()
-      | _ -> fail "check-report: %s: malformed duration %s" path name)
-    (section runtime "durations");
-  (* Cross-counter invariants of the instrumented layers. *)
-  let value name =
-    match List.assoc_opt name det_counters with
-    | Some (Obs.Json.Int n) -> Some n
-    | _ -> None
-  in
-  List.iter
-    (fun cache ->
-      match
-        ( value (Printf.sprintf "bdd.%s_lookups" cache),
-          value (Printf.sprintf "bdd.%s_hits" cache),
-          value (Printf.sprintf "bdd.%s_misses" cache) )
-      with
-      | Some l, Some h, Some m ->
-        if h + m <> l then
-          fail "check-report: %s: bdd.%s hits %d + misses %d <> lookups %d"
-            path cache h m l
-      | _ -> ())
-    [ "ite"; "restrict"; "compose" ];
-  (match (value "cec.sat_calls", value "cec.budget_exhausted") with
-  | Some s, Some b when b > s ->
-    fail "check-report: %s: cec.budget_exhausted %d > cec.sat_calls %d" path b
-      s
-  | _ -> ());
-  (match (value "globals.updates", value "globals.recomputed") with
-  | Some 0, Some r when r > 0 ->
-    fail "check-report: %s: globals.recomputed %d with no updates" path r
-  | _ -> ());
-  Printf.printf "report OK: %s (%d deterministic counter(s))\n" path
-    (List.length det_counters)
-
-let check_trace path =
-  let j = parse_json_file "check-trace" path in
-  let events =
-    match Obs.Json.member "traceEvents" j with
-    | Some (Obs.Json.List es) -> es
-    | _ -> fail "check-trace: %s: missing traceEvents list" path
-  in
-  let n_complete = ref 0 and tids = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let str k =
-        match Obs.Json.member k e with
-        | Some (Obs.Json.String s) -> Some s
-        | _ -> None
-      in
-      let tid =
-        match Obs.Json.member "tid" e with
-        | Some (Obs.Json.Int t) -> t
-        | _ -> fail "check-trace: %s: event without integer tid" path
-      in
-      match str "ph" with
-      | Some "X" -> (
-        n_complete := !n_complete + 1;
-        match (Obs.Json.member "ts" e, Obs.Json.member "dur" e, str "name") with
-        | Some (Obs.Json.Float ts), Some (Obs.Json.Float dur), Some _
-          when ts >= 0.0 && dur >= 0.0 ->
-          if not (Hashtbl.mem tids tid) then
-            fail "check-trace: %s: track %d has no thread_name metadata" path
-              tid
-        | _ -> fail "check-trace: %s: malformed complete event" path)
-      | Some "M" -> Hashtbl.replace tids tid ()
-      | _ -> fail "check-trace: %s: unknown event phase" path)
-    events;
-  Printf.printf "trace OK: %s (%d span event(s) on %d track(s))\n" path
-    !n_complete (Hashtbl.length tids)
-
-(* First differing path between two JSON trees with identical shape
-   expectations — a named mismatch beats a bare "differ" in CI logs. *)
-let rec first_diff path a b =
-  match (a, b) with
-  | Obs.Json.Obj xs, Obs.Json.Obj ys when List.map fst xs = List.map fst ys ->
-    List.fold_left2
-      (fun acc (k, va) (_, vb) ->
-        match acc with
-        | Some _ -> acc
-        | None -> first_diff (path ^ "." ^ k) va vb)
-      None xs ys
-  | _ -> if Obs.Json.equal a b then None else Some path
-
-let compare_reports a b =
-  let ja = parse_json_file "compare-reports" a in
-  let jb = parse_json_file "compare-reports" b in
-  let da = Obs.det_subtree ja and db = Obs.det_subtree jb in
-  if da = Obs.Json.Null || db = Obs.Json.Null then
-    fail "compare-reports: missing deterministic subtree";
-  if Obs.Json.equal da db then
-    print_endline "deterministic subtrees identical"
-  else
-    fail "compare-reports: deterministic subtrees differ (at %s)"
-      (match first_diff "deterministic" da db with
-      | Some p -> p
-      | None -> "<structure>")
+let sat_bench () =
+  print_endline
+    "== Incremental SAT: sweep kernel (3x sat_sweep + cec) and \
+     cross-architecture miters ==";
+  ignore (across_jobs "sat" ~det:Fun.id sat_run);
+  (* Database reduction must fire in a full driver run on a Table 2
+     circuit too, not only on the miters. *)
+  Obs.reset ();
+  ignore (Lookahead.optimize ~options:nolimit (Circuits.Suite.build "dalu"));
+  let snap = Obs.snapshot () in
+  let red = Obs.counter_value snap "sat.reductions"
+  and del = Obs.counter_value snap "sat.learnts_deleted" in
+  Printf.printf "dalu driver run: reductions %d, learnts deleted %d\n\n%!" red
+    del;
+  if red = 0 || del = 0 then
+    fail "bench sat: dalu driver run shows reductions=%d deleted=%d" red del
 
 (* Validate a Prometheus-style text exposition (the [metrics] request):
    comment lines are # HELP / # TYPE, every sample belongs to a typed
    family, histogram bucket series are cumulative, monotone and end at
    le="+Inf" with a matching _count sample. *)
 let check_exposition path =
-  let text = read_file path in
+  let text = Serve.Cli.read_file path in
   let types = Hashtbl.create 16 in
   (* (family, labels-without-le) -> (le, value) list, newest first *)
   let buckets : (string, (string * float) list) Hashtbl.t =
@@ -1299,7 +1204,7 @@ let check_exposition path =
    a served run contains at least one admission and one completion. *)
 let check_journal path =
   let lines =
-    String.split_on_char '\n' (read_file path)
+    String.split_on_char '\n' (Serve.Cli.read_file path)
     |> List.filter (fun l -> String.trim l <> "")
   in
   if lines = [] then fail "check-journal: %s: empty journal" path;
@@ -1341,8 +1246,7 @@ let check_journal path =
 (* scrapes, the side that runs first alternating — and the median of   *)
 (* the per-pair overheads is bounded at 3 %. Then the journal's Det    *)
 (* digest (order-insensitive hash of every Det payload) is required to *)
-(* be identical warm -j1 / warm -j4 / cold -j1.                        *)
-(* JSON to BENCH_obs.json (or $BENCH_OBS_OUT); exits non-zero on any    *)
+(* be identical warm -j1 / warm -j4 / cold -j1. Exits non-zero on any  *)
 (* violation (gate 9).                                                  *)
 (* ------------------------------------------------------------------- *)
 
@@ -1396,7 +1300,7 @@ let obs_bench () =
         { Serve.Engine.queue_capacity = n + 4 }
     in
     Serve.Engine.start engine;
-    let t0 = Guard.Clock.now_s () in
+    let t0 = Obs.Clock.now_s () in
     for i = 0 to n - 1 do
       match Serve.Engine.submit engine ~tenant:0 (spec_of i) with
       | Ok _ -> ()
@@ -1411,7 +1315,7 @@ let obs_bench () =
         ignore (Serve.Engine.metrics engine)
       end
     done;
-    let wall = Guard.Clock.now_s () -. t0 in
+    let wall = Obs.Clock.now_s () -. t0 in
     Serve.Engine.stop engine;
     wall
   in
@@ -1485,48 +1389,15 @@ let obs_bench () =
   let identical =
     nonempty && String.equal d_warm1 d_warm4 && String.equal d_warm1 d_cold1
   in
-  let out =
-    match Sys.getenv_opt "BENCH_OBS_OUT" with
-    | Some p -> p
-    | None -> "BENCH_obs.json"
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"lookahead-bench-obs/2\",\n\
-    \  \"jobs\": %d,\n\
-    \  \"pairs\": [%s],\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"journal\": { \"events\": %d, \"rotations\": %d },\n\
-    \  \"identity\": {\n\
-    \    \"jobs\": %d,\n\
-    \    \"warm_j1\": \"%s\",\n\
-    \    \"warm_j4\": \"%s\",\n\
-    \    \"cold_j1\": \"%s\",\n\
-    \    \"identical\": %b\n\
-    \  },\n\
-    \  \"all_completed\": %b\n\
-     }\n"
-    njobs
-    (String.concat ", "
-       (List.map2
-          (fun (off_s, on_s) r ->
-            Printf.sprintf
-              "{\"off_s\": %.4f, \"on_s\": %.4f, \"overhead_pct\": %.2f}"
-              off_s on_s r)
-          runs ratios_pct))
-    overhead_pct !journal_events !journal_rotations id_jobs d_warm1 d_warm4
-    d_cold1 identical !all_completed;
-  close_out oc;
   Printf.printf
-    "obs: %d jobs x%d pairs, journal on vs off %s, median %+.2f%%, digest \
-     %s -> %s\n\
-     %!"
+    "obs: %d jobs x%d pairs, journal on vs off %s, median %+.2f%%\n\
+     obs: journal %d event(s), %d rotation(s)\n\
+     obs: %d-job digest warm -j 1 %s, warm -j 4 %s, cold -j 1 %s -> %s\n%!"
     njobs pairs
     (String.concat " " (List.map (Printf.sprintf "%+.2f%%") ratios_pct))
-    overhead_pct
-    (if identical then "identical" else "DIVERGED")
-    out;
+    overhead_pct !journal_events !journal_rotations id_jobs d_warm1 d_warm4
+    d_cold1
+    (if identical then "identical" else "DIVERGED");
   if not !all_completed then fail "bench obs: not every job completed";
   if not identical then
     fail "bench obs: journal Det digest diverged across -j / warm-cold";
@@ -1541,19 +1412,18 @@ let obs_bench () =
 (* Gate 10's workload. Every fixed arm and the portfolio run on the
    fast subset minus C432 (the one circuit whose lookahead run is only
    bounded by the anytime deadline — a deadline cut is a function of
-   wall-clock scheduling, and this JSON must be byte-identical across
-   -j). The portfolio must never lose to the best fixed arm — it runs
-   the same arms and picks by measured cost — so losing is a selection
-   bug and fails the bench directly; the JSON records per-arm costs and
-   the winner-BLIF md5 for the checked-in baseline comparison. *)
-let egraph_bench () =
-  let names =
-    List.filter (fun n -> not (String.equal n "C432")) fast_subset
-  in
-  let cost = Egraph.Cost.levels in
-  let nolimit =
-    { Lookahead.Driver.default with time_limit_s = infinity }
-  in
+   wall-clock scheduling, and these rows must be identical across -j).
+   The portfolio must never lose to the best fixed arm — it runs the
+   same arms and picks by measured cost — so losing is a selection bug
+   and fails the bench directly. Each circuit yields one line of
+   [egraph_baseline]: per-arm costs and the winner-BLIF md5, no
+   wall-clock fields. *)
+let egraph_baseline = "BENCH_egraph.json"
+
+let egraph_cost = Egraph.Cost.levels
+
+let egraph_run () =
+  let cost = egraph_cost in
   let fixed_arms : (string * (Aig.t -> Aig.t)) list =
     [
       ("sis", Baselines.sis_like);
@@ -1563,139 +1433,160 @@ let egraph_bench () =
       ("egraph", fun g -> Egraph.optimize ~cost g);
     ]
   in
-  Printf.printf "== E-graph portfolio vs fixed optimizers (cost: %s) ==\n"
-    cost.Egraph.Cost.name;
   Printf.printf "%-24s | %s | %-10s %6s\n%!" "Name"
     (String.concat " "
        (List.map (fun (n, _) -> Printf.sprintf "%9s" n) fixed_arms))
     "winner" "cost";
-  let rows =
-    List.map
-      (fun name ->
-        let g = Circuits.Suite.build name in
-        let t0 = Unix.gettimeofday () in
-        let fixed =
-          List.map
-            (fun (an, f) ->
-              let out = f g in
-              if not (Aig.Cec.equivalent g out) then
-                fail "bench egraph: %s: arm %s broke equivalence" name an;
-              (an, cost.Egraph.Cost.measure out))
-            fixed_arms
-        in
-        let t1 = Unix.gettimeofday () in
-        let out, r = Egraph.Portfolio.run_ex ~options:nolimit ~cost g in
-        let t2 = Unix.gettimeofday () in
-        if not (Aig.Cec.equivalent g out) then
-          fail "bench egraph: %s: portfolio output not equivalent" name;
-        let best_fixed =
-          List.fold_left (fun acc (_, c) -> Float.min acc c) infinity fixed
-        in
-        if r.Egraph.Portfolio.winner_cost > best_fixed then
-          fail
-            "bench egraph: %s: portfolio cost %.3f worse than best fixed arm \
-             %.3f"
-            name r.Egraph.Portfolio.winner_cost best_fixed;
-        let md5 =
-          Digest.to_hex (Digest.string (Aig.Io.blif_to_string ~model:name out))
-        in
-        Printf.printf "%-24s | %s | %-10s %6.0f   (arms %.2fs, portfolio %.2fs)\n%!"
-          name
-          (String.concat " "
-             (List.map (fun (_, c) -> Printf.sprintf "%9.0f" c) fixed))
-          r.Egraph.Portfolio.winner r.Egraph.Portfolio.winner_cost
-          (t1 -. t0) (t2 -. t1);
-        (name, fixed, r, md5))
-      names
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_EGRAPH_OUT" with
-    | Some p -> p
-    | None -> "BENCH_egraph.json"
-  in
-  let oc = open_out out in
-  (* Deterministic content only — gate 10 requires the whole file
-     byte-identical across -j and against the checked-in baseline, so
-     no wall-clock fields. *)
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"egraph-bench/v1\",\n\
-    \  \"cost\": \"%s\",\n\
-    \  \"rows\": [\n"
-    cost.Egraph.Cost.name;
-  let row_strings =
-    List.map
-      (fun (name, fixed, (r : Egraph.Portfolio.report), md5) ->
+  List.map
+    (fun name ->
+      let g = Circuits.Suite.build name in
+      let fixed, arms_s =
+        Obs.time (fun () ->
+            List.map
+              (fun (an, f) ->
+                let out = f g in
+                if not (Aig.Cec.equivalent g out) then
+                  fail "bench egraph: %s: arm %s broke equivalence" name an;
+                (an, cost.Egraph.Cost.measure out))
+              fixed_arms)
+      in
+      let (out, (r : Egraph.Portfolio.report)), portfolio_s =
+        Obs.time (fun () -> Egraph.Portfolio.run_ex ~options:nolimit ~cost g)
+      in
+      if not (Aig.Cec.equivalent g out) then
+        fail "bench egraph: %s: portfolio output not equivalent" name;
+      let best_fixed =
+        List.fold_left (fun acc (_, c) -> Float.min acc c) infinity fixed
+      in
+      if r.winner_cost > best_fixed then
+        fail
+          "bench egraph: %s: portfolio cost %.3f worse than best fixed arm \
+           %.3f"
+          name r.winner_cost best_fixed;
+      let md5 =
+        Digest.to_hex (Digest.string (Aig.Io.blif_to_string ~model:name out))
+      in
+      Printf.printf
+        "%-24s | %s | %-10s %6.0f   (arms %.2fs, portfolio %.2fs)\n%!" name
+        (String.concat " "
+           (List.map (fun (_, c) -> Printf.sprintf "%9.0f" c) fixed))
+        r.winner r.winner_cost arms_s portfolio_s;
+      ( name,
         Printf.sprintf
           "    { \"name\": \"%s\", \"winner\": \"%s\", \"winner_cost\": %.3f, \
            \"sequential\": %b, \"arms\": { %s }, \"blif_md5\": \"%s\" }"
-          name r.Egraph.Portfolio.winner r.Egraph.Portfolio.winner_cost
-          r.Egraph.Portfolio.sequential
+          name r.winner r.winner_cost r.sequential
           (String.concat ", "
              (List.map
                 (fun (an, c) -> Printf.sprintf "\"%s\": %.3f" an c)
-                (fixed @ [ ("portfolio", r.Egraph.Portfolio.winner_cost) ])))
-          md5)
-      rows
-  in
-  Printf.fprintf oc "%s\n  ]\n}\n" (String.concat ",\n" row_strings);
-  close_out oc;
-  Printf.printf "egraph: %d circuits -> %s\n%!" (List.length rows) out
+                (fixed @ [ ("portfolio", r.winner_cost) ])))
+          md5 ))
+    fast_subset_nolimit
 
-let () =
-  let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
-  (* Shared CLI dialect (Serve.Cli): -j N / --jobs N / -jN, the
-     observation trio --stats / --report FILE / --trace FILE (same
-     contract as bin/lookahead_opt: record while the targets run,
-     export when they are done), and --inject SPEC for the guard-gate
-     workloads that force the degradation ladder mid-run. *)
-  let args = Serve.Cli.strip_jobs ~prog:"bench" args in
-  let args, obs_flags = Serve.Cli.strip_obs ~prog:"bench" args in
-  let args = Serve.Cli.strip_inject ~prog:"bench" args in
-  Serve.Cli.setup_obs obs_flags;
-  let finish_obs () = Serve.Cli.finish_obs obs_flags in
-  let table2_guard () =
-    (* Gate 5 workload: the fast subset minus C432 (the one circuit that
-       needs the anytime deadline), deadline disabled, meant to run with
-       --inject armed. Every governed blowup is then an injected one,
-       firing on per-job tick counts, so the report's Det subtree —
-       degradation rungs included — is comparable across -j. Each cell
-       CEC-asserts against its input, so the target completing IS the
-       completion + equivalence check. *)
-    if not (Guard.Inject.armed ()) then
-      prerr_endline
-        "bench: table2-guard: note: no --inject spec armed, running \
-         unfaulted";
-    table2 ~tools:tools_nolimit
-      ~names:(List.filter (fun n -> not (String.equal n "C432")) fast_subset)
-      ~full:false ()
+(* Runs [egraph_run] through [across_jobs], then requires its rows to
+   equal [egraph_baseline] byte for byte. On a mismatch it rewrites the
+   file and exits 1, so a rerun passes and `git diff` shows the change:
+   re-baselining is a plain run. *)
+let egraph_bench () =
+  Printf.printf "== E-graph portfolio vs fixed optimizers (cost: %s) ==\n"
+    egraph_cost.Egraph.Cost.name;
+  let runs =
+    across_jobs "egraph"
+      ~det:(fun rows ->
+        Obs.Json.Obj (List.map (fun (n, l) -> (n, Obs.Json.String l)) rows))
+      egraph_run
   in
-  let targets =
-    [
-      ("table1", fun () -> table1 ());
-      ("table2", fun () -> table2 ~full:false ());
-      ("table2-full", fun () -> table2 ~full:true ());
-      ("table2-guard", table2_guard);
-      ("ablation", ablation);
-      ("extension", extension);
-      ("par", par_bench);
-      ("incr", incr_bench);
-      ("sat", sat_bench);
-      ("obs", obs_bench);
-      ("egraph", egraph_bench);
-      ( "all",
-        fun () ->
-          table1 ();
-          table2 ~full:false ();
-          ablation () );
-      ( "all-full",
-        fun () ->
-          table1 ();
-          table2 ~full:true ();
-          ablation ();
-          extension () );
-    ]
+  let rows = (List.hd runs).value in
+  let text =
+    Printf.sprintf
+      "{\n\
+      \  \"schema\": \"egraph-bench/v1\",\n\
+      \  \"cost\": \"%s\",\n\
+      \  \"rows\": [\n\
+       %s\n\
+      \  ]\n\
+       }\n"
+      egraph_cost.Egraph.Cost.name
+      (String.concat ",\n" (List.map snd rows))
   in
+  if
+    not
+      (Sys.file_exists egraph_baseline
+      && String.equal (Serve.Cli.read_file egraph_baseline) text)
+  then begin
+    Serve.Cli.write_file egraph_baseline text;
+    fail "bench egraph: output differs from %s; rewrote it (see git diff)"
+      egraph_baseline
+  end;
+  Printf.printf "egraph: %d circuits identical at every -j and to %s\n%!"
+    (List.length rows) egraph_baseline
+
+let table2_guard () =
+  (* Gate 5 workload: the fast subset minus C432 (the one circuit that
+     needs the anytime deadline), deadline disabled, meant to run with
+     --inject armed. Every governed blowup is then an injected one,
+     firing on per-job tick counts, so the table and the report's Det
+     subtree — degradation rungs included — are identical across -j.
+     Each cell CEC-asserts against its input, so the target completing
+     IS the completion + equivalence check; an armed fault that never
+     fired would make the check vacuous, so that exits 1 too. *)
+  let armed = Guard.Inject.armed () in
+  if not armed then
+    prerr_endline
+      "bench: table2-guard: note: no --inject spec armed, running unfaulted";
+  let runs =
+    across_jobs "table2-guard"
+      ~det:(fun text -> Obs.Json.String text)
+      (fun () ->
+        with_captured_stdout (fun () ->
+            table2 ~tools:tools_nolimit ~names:fast_subset_nolimit
+              ~full:false ()))
+  in
+  let r = List.hd runs in
+  print_string r.value;
+  let fired =
+    List.fold_left
+      (fun acc (name, _, v) ->
+        if String.starts_with ~prefix:"guard.injected." name then acc + v
+        else acc)
+      0 (Obs.counters r.snap)
+  in
+  if armed && fired = 0 then
+    fail "bench: table2-guard: the armed --inject fault never fired";
+  Printf.printf "table2-guard: %d injected fault(s), identical at every -j\n%!"
+    fired
+
+let targets =
+  [
+    ("table1", fun () -> table1 ());
+    ("table2", fun () -> table2 ~full:false ());
+    ("table2-full", fun () -> table2 ~full:true ());
+    ("table2-guard", table2_guard);
+    ("ablation", ablation);
+    ("extension", extension);
+    ("par", par_bench);
+    ("incr", incr_bench);
+    ("sat", sat_bench);
+    ("obs", obs_bench);
+    ("egraph", egraph_bench);
+    ( "all",
+      fun () ->
+        table1 ();
+        table2 ~full:false ();
+        ablation () );
+    ( "all-full",
+      fun () ->
+        table1 ();
+        table2 ~full:true ();
+        ablation ();
+        extension () );
+  ]
+
+(* Flags come from the Serve.Cli terms both CLIs use: -j/--jobs (and
+   -jN), --stats/--report/--trace/--journal (record while the targets
+   run, export when they are done) and --inject SPEC for the guard-gate
+   workload. The positionals are targets, or one validator. *)
+let main jobs stats report trace journal inject args =
   match args with
   | [ "check-report"; path ] -> check_report path
   | [ "check-trace"; path ] -> check_trace path
@@ -1709,8 +1600,13 @@ let () =
        with the wrong arity lands here too. *)
     match List.filter (fun a -> not (List.mem_assoc a targets)) args with
     | [] ->
+      ignore (Lazy.force pool_sizes);
+      Serve.Cli.setup_jobs jobs;
+      Serve.Cli.setup_inject ~prog:"bench" inject;
+      let obs_flags = { Serve.Cli.stats; report; trace; journal } in
+      Serve.Cli.setup_obs obs_flags;
       List.iter (fun arg -> (List.assoc arg targets) ()) args;
-      finish_obs ()
+      Serve.Cli.finish_obs obs_flags
     | unknown ->
       Printf.eprintf
         "bench: unknown target(s): %s\n\
@@ -1720,3 +1616,20 @@ let () =
         (String.concat " " unknown)
         (String.concat " " (List.map fst targets));
       exit 2)
+
+let () =
+  let open Cmdliner in
+  let args =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"TARGET"
+          ~doc:"Targets to run (default: all), or one validator and its files.")
+  in
+  let module Cli = Serve.Cli in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench" ~doc:"Paper tables and correctness gates.")
+          Term.(
+            const main $ Cli.jobs_term $ Cli.stats_term $ Cli.report_term
+            $ Cli.trace_term $ Cli.journal_term $ Cli.inject_term $ args)))

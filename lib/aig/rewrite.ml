@@ -57,3 +57,18 @@ let run ?(k = 5) ?(per_node = 6) ~objective src =
     (fun (name, l) -> Graph.add_output dst name (translate_lit l))
     (Graph.outputs src);
   Graph.cleanup dst
+
+let delay_fixpoint g =
+  let step g = Balance.run (run ~k:6 ~per_node:8 ~objective:`Delay g) in
+  let better g' g =
+    Graph.depth g' < Graph.depth g
+    || Graph.depth g' = Graph.depth g
+       && Graph.num_reachable_ands g' < Graph.num_reachable_ands g
+  in
+  let rec go i g =
+    if i = 0 then g
+    else
+      let g' = step g in
+      if better g' g then go (i - 1) g' else g
+  in
+  go 6 (step g)

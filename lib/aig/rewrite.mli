@@ -10,3 +10,9 @@ type objective = [ `Delay | `Area ]
 
 (** [run ?k ?per_node ~objective g] is an equivalent rewritten graph. *)
 val run : ?k:int -> ?per_node:int -> objective:objective -> Graph.t -> Graph.t
+
+(** [delay_fixpoint g] is the conventional delay cleanup: one
+    [`Delay] rewrite ([k = 6], [per_node = 8]) followed by
+    {!Balance.run}, then up to six more such steps, each kept only
+    while depth falls, or depth ties and the AND count falls. *)
+val delay_fixpoint : Graph.t -> Graph.t

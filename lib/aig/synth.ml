@@ -81,16 +81,7 @@ let of_tt g lev tt ~leaf =
   if Logic.Tt.is_const_false tt then Graph.const_false
   else if Logic.Tt.is_const_true tt then Graph.const_true
   else begin
-    (* Quine-McCluskey covers for narrow functions, espresso-style
-       minimization beyond the width where prime enumeration is cheap. *)
-    let on, off =
-      if Logic.Tt.num_vars tt <= 8 then Logic.Minimize.min_sops tt
-      else begin
-        let dc = Logic.Tt.const_false (Logic.Tt.num_vars tt) in
-        ( Logic.Espresso.minimize ~on:tt ~dc,
-          Logic.Espresso.minimize ~on:(Logic.Tt.lnot tt) ~dc )
-      end
-    in
+    let on, off = Logic.Minimize.min_sops tt in
     let pos = of_sop g lev on ~leaf in
     let neg = Graph.bnot (of_sop g lev off ~leaf) in
     let lp = Lev.level lev pos and ln = Lev.level lev neg in

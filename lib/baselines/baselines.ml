@@ -35,22 +35,7 @@ let abc_like g =
    (bounded), then recover area with SAT sweeping and one zero-cost
    area pass that must not degrade depth. *)
 let dc_like g =
-  let step g =
-    Aig.Balance.run (Aig.Rewrite.run ~k:6 ~per_node:8 ~objective:`Delay g)
-  in
-  let rec fixpoint i g =
-    if i = 0 then g
-    else begin
-      let g' = step g in
-      if
-        Aig.depth g' < Aig.depth g
-        || (Aig.depth g' = Aig.depth g
-            && Aig.num_reachable_ands g' < Aig.num_reachable_ands g)
-      then fixpoint (i - 1) g'
-      else g
-    end
-  in
-  let g = fixpoint 6 (step g) in
+  let g = Aig.Rewrite.delay_fixpoint g in
   let swept = Aig.Sweep.sat_sweep g in
   let swept = if Aig.depth swept <= Aig.depth g then swept else g in
   let area = Aig.Rewrite.run ~k:5 ~per_node:6 ~objective:`Area swept in

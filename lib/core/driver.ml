@@ -326,7 +326,7 @@ let one_round opts ~deadline g =
               opts.max_cone_inputs);
         None
       end
-      else if Par.Deadline.expired deadline then begin
+      else if Guard.Deadline.expired deadline then begin
         Obs.incr m_skip_deadline;
         Log.debug (fun m ->
             m "skip %s: optimization time budget exhausted" o.Network.name);
@@ -528,24 +528,7 @@ let one_round opts ~deadline g =
    optimization — it was run inside ABC on conventionally optimized
    circuits — so the driver applies the same polish before and after the
    decomposition rounds. *)
-let polish g =
-  Obs.with_span sp_polish @@ fun () ->
-  let step g =
-    Aig.Balance.run (Aig.Rewrite.run ~k:6 ~per_node:8 ~objective:`Delay g)
-  in
-  let rec fixpoint i g =
-    if i = 0 then g
-    else begin
-      let g' = step g in
-      if
-        Aig.depth g' < Aig.depth g
-        || (Aig.depth g' = Aig.depth g
-            && Aig.num_reachable_ands g' < Aig.num_reachable_ands g)
-      then fixpoint (i - 1) g'
-      else g
-    end
-  in
-  fixpoint 6 (step g)
+let polish g = Obs.with_span sp_polish (fun () -> Aig.Rewrite.delay_fixpoint g)
 
 let balance g = Obs.with_span sp_balance (fun () -> Aig.Balance.run g)
 
@@ -559,7 +542,7 @@ let optimize_with_stats ?(options = default) g0 =
   let deadline =
     match options.deadline with
     | Some d -> d
-    | None -> Par.Deadline.after options.time_limit_s
+    | None -> Guard.Deadline.after options.time_limit_s
   in
   (* Run-level guard context for the sequential finishing passes (SAT
      sweep, final CEC); per-output decomposition jobs get their own.
@@ -568,7 +551,7 @@ let optimize_with_stats ?(options = default) g0 =
   let run_guard = Guard.create options.guard_budget in
   (* Inner loop: decomposition rounds while the depth improves. *)
   let rec rounds i g touched =
-    if i >= options.max_rounds || Par.Deadline.expired deadline then
+    if i >= options.max_rounds || Guard.Deadline.expired deadline then
       (g, i, touched)
     else begin
       let g', n =
@@ -592,7 +575,7 @@ let optimize_with_stats ?(options = default) g0 =
     let g2 = polish g1 in
     let g' = if Aig.depth g2 <= Aig.depth g1 then g2 else g1 in
     if budget > 0 && Aig.depth g' < Aig.depth g
-       && not (Par.Deadline.expired deadline)
+       && not (Guard.Deadline.expired deadline)
     then outer (budget - 1) g' (rr + r) (touched + n)
     else (g', rr + r, touched + n)
   in

@@ -1,12 +1,7 @@
 (* Resource governance: typed budgets + deterministic fault injection.
    See guard.mli for the contract. The layering constraint is that this
    module sits below bdd/sat/network/timing, so it may depend only on
-   obs and the monotonic clock. *)
-
-module Clock = struct
-  let now_ns () = Monotonic_clock.now ()
-  let now_s () = Int64.to_float (now_ns ()) *. 1e-9
-end
+   obs (whose monotonic clock the deadlines read). *)
 
 module Deadline = struct
   (* [at] is an absolute CLOCK_MONOTONIC instant in ns ([max_int] means
@@ -23,7 +18,7 @@ module Deadline = struct
     if s <= 0.0 || s >= Int64.to_float Int64.max_int *. 1e-9 then never
     else
       {
-        at = Int64.add (Clock.now_ns ()) (Int64.of_float (s *. 1e9));
+        at = Int64.add (Obs.Clock.now_ns ()) (Int64.of_float (s *. 1e9));
         cancelled = Atomic.make false;
       }
 
@@ -36,7 +31,7 @@ module Deadline = struct
       {
         at =
           Int64.min t.at
-            (Int64.add (Clock.now_ns ()) (Int64.of_float (s *. 1e9)));
+            (Int64.add (Obs.Clock.now_ns ()) (Int64.of_float (s *. 1e9)));
         cancelled = t.cancelled;
       }
 
@@ -47,12 +42,12 @@ module Deadline = struct
 
   let expired t =
     Atomic.get t.cancelled
-    || ((not (Int64.equal t.at Int64.max_int)) && Clock.now_ns () > t.at)
+    || ((not (Int64.equal t.at Int64.max_int)) && Obs.Clock.now_ns () > t.at)
 
   let remaining_s t =
     if Atomic.get t.cancelled then 0.0
     else if Int64.equal t.at Int64.max_int then infinity
-    else Int64.to_float (Int64.sub t.at (Clock.now_ns ())) *. 1e-9
+    else Int64.to_float (Int64.sub t.at (Obs.Clock.now_ns ())) *. 1e-9
 end
 
 type resource = Bdd_nodes | Sat_conflicts | Time

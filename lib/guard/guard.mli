@@ -23,16 +23,9 @@
     never fire, and armed-injection checks are behind a single
     [Atomic.get]. *)
 
-(** Monotonic wall-clock (CLOCK_MONOTONIC), immune to system time
-    adjustments — the only clock deadline logic uses. *)
-module Clock : sig
-  val now_ns : unit -> int64
-  val now_s : unit -> float
-end
-
 (** A single absolute deadline, shareable across every worker of a run
-    so a time budget means the same thing at [-j 1] and [-j 8].
-    (Moved here from [Par], which re-exports it.) *)
+    so a time budget means the same thing at [-j 1] and [-j 8]. It
+    reads {!Obs.Clock}. *)
 module Deadline : sig
   type t
 

@@ -37,8 +37,8 @@ val of_cluster :
     internal nodes, the per-node affected test is dropped and every
     in-scope internal node is recomputed from scratch — hash-consing
     makes the result identical, and the straight pass is what
-    [BENCH_incr] showed to be faster on near-global dirty regions
-    (counted by the [Det] counter [globals.scratch_fallbacks]). *)
+    [bench/main.exe incr] showed to be faster on near-global dirty
+    regions (counted by the [Det] counter [globals.scratch_fallbacks]). *)
 val update :
   ?guard:Guard.t ->
   ?member:bool array ->

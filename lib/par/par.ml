@@ -5,12 +5,6 @@
    sequential loops) and the helping [await] (no blocking while work is
    queued, which makes nested submission deadlock-free). *)
 
-(* Clock and Deadline moved into [Guard] (PR 5) so the substrates below
-   the runtime (bdd, sat, timing) can share the deadline type without
-   depending on the pool; re-exported here to keep every call site. *)
-module Clock = Guard.Clock
-module Deadline = Guard.Deadline
-
 let env_jobs () =
   match Sys.getenv_opt "LOOKAHEAD_JOBS" with
   | None -> None

@@ -22,17 +22,6 @@
     debugging mode) runs everything in the calling domain with no
     domains spawned and no cross-domain scheduling at all. *)
 
-(** Monotonic wall-clock (CLOCK_MONOTONIC), immune to system time
-    adjustments — the only clock the synthesis deadline logic uses.
-    Re-export of {!Guard.Clock}. *)
-module Clock = Guard.Clock
-
-(** A single absolute deadline, shareable across every worker of a run
-    so a time budget means the same thing at [-j 1] and [-j 8].
-    Re-export of {!Guard.Deadline}, where it now lives so the governed
-    substrates can share the type without depending on the pool. *)
-module Deadline = Guard.Deadline
-
 module Pool : sig
   type t
 

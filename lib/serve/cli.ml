@@ -1,7 +1,7 @@
-(* Shared CLI plumbing. See cli.mli. The terms are verbatim what
-   bin/lookahead_opt.ml grew organically; the strippers are what
-   bench/main.ml grew; both now live here so the server binary gets
-   them for free and the three front ends cannot drift. *)
+(* Shared CLI plumbing. See cli.mli. The terms are what
+   bin/lookahead_opt.ml grew organically; they live here so the server
+   binary and the bench harness parse the same flags and the three
+   front ends cannot drift. *)
 
 open Cmdliner
 
@@ -276,79 +276,3 @@ let msg_source_of_cli = function
   | Bench_file path ->
     Msg.Bench { name = Filename.basename path; text = read_file path }
   | Adder (kind, n) -> Msg.Adder { kind; bits = n }
-
-(* --- argv strippers (bench harness) ------------------------------------ *)
-
-let strip_jobs ~prog args =
-  let rec go = function
-    | ("-j" | "--jobs") :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j ->
-        Par.set_default_jobs j;
-        go rest
-      | None ->
-        Printf.eprintf "%s: -j: invalid value '%s', expected an integer\n"
-          prog n;
-        exit 2)
-    | [ ("-j" | "--jobs") ] ->
-      Printf.eprintf "%s: -j requires a value\n" prog;
-      exit 2
-    | arg :: rest
-      when String.length arg > 2
-           && String.sub arg 0 2 = "-j"
-           && int_of_string_opt (String.sub arg 2 (String.length arg - 2))
-              <> None ->
-      Par.set_default_jobs
-        (int_of_string (String.sub arg 2 (String.length arg - 2)));
-      go rest
-    | arg :: rest -> arg :: go rest
-    | [] -> []
-  in
-  go args
-
-let strip_obs ~prog args =
-  let stats = ref false in
-  let report = ref None in
-  let trace = ref None in
-  let journal = ref None in
-  let rec go = function
-    | "--stats" :: rest ->
-      stats := true;
-      go rest
-    | "--report" :: path :: rest ->
-      report := Some path;
-      go rest
-    | "--trace" :: path :: rest ->
-      trace := Some path;
-      go rest
-    | "--journal" :: path :: rest ->
-      journal := Some path;
-      go rest
-    | [ ("--report" | "--trace" | "--journal") ] ->
-      Printf.eprintf
-        "%s: --report/--trace/--journal require a file argument\n" prog;
-      exit 2
-    | arg :: rest -> arg :: go rest
-    | [] -> []
-  in
-  let rest = go args in
-  ( rest,
-    { stats = !stats; report = !report; trace = !trace; journal = !journal } )
-
-let strip_inject ~prog args =
-  let rec go = function
-    | "--inject" :: spec :: rest -> (
-      match Guard.Inject.of_string spec with
-      | Ok rules ->
-        Guard.Inject.arm rules;
-        go rest
-      | Error msg ->
-        Printf.eprintf "%s: --inject: %s\n" prog msg;
-        exit 2)
-    | [ "--inject" ] ->
-      Printf.eprintf "%s: --inject requires a spec argument\n" prog;
-      exit 2
-    | arg :: rest -> arg :: go rest
-    | [] -> []
-  in
-  go args

@@ -5,9 +5,8 @@
     [LOOKAHEAD_JOBS] fallback inside [lib/par]), the observation trio
     [--stats]/[--report]/[--trace], deterministic fault injection
     [--inject], the lookahead [--time-limit], and a common way of
-    naming a circuit source. This module is the single home for both
-    the Cmdliner terms (for the real CLIs) and the argv strippers (for
-    the bench harness, which parses by hand). *)
+    naming a circuit source. This module is the single home of the
+    Cmdliner terms all three parse them with. *)
 
 (** {1 Logging} *)
 
@@ -109,16 +108,6 @@ val load_source_cli : source_cli -> Aig.t
 (** The wire form: file sources are read and inlined, so the server
     never needs the client's filesystem. *)
 val msg_source_of_cli : source_cli -> Msg.source
-
-(** {1 Argv strippers (bench harness)}
-
-    Each consumes its flags anywhere in the argument list, applies the
-    side effect, and returns the remaining arguments. Errors print
-    [prog: ...] and exit 2 — the pre-existing bench behaviour. *)
-
-val strip_jobs : prog:string -> string list -> string list
-val strip_obs : prog:string -> string list -> string list * obs_flags
-val strip_inject : prog:string -> string list -> string list
 
 (** {1 Small helpers} *)
 

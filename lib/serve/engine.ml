@@ -88,7 +88,7 @@ let create ?(on_event = fun _ -> ()) ?(slo = []) config =
     intern = Hashtbl.create 16;
     current = Atomic.make None;
     pseq = Atomic.make 0;
-    born_s = Guard.Clock.now_s ();
+    born_s = Obs.Clock.now_s ();
   }
 
 (* --- validation (synchronous, at admission) -------------------------- *)
@@ -192,7 +192,7 @@ let journal_admitted (spec : Msg.submit) =
    run. *)
 let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
     ~cancel_handle ~wait_ns =
-  let t0 = Guard.Clock.now_ns () in
+  let t0 = Obs.Clock.now_ns () in
   (match rules with
   | [] -> Guard.Inject.disarm ()
   | rs -> Guard.Inject.arm rs);
@@ -220,7 +220,7 @@ let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
         blif;
         report;
         wait_ms = ms_of_ns wait_ns;
-        run_ms = ms_of_ns (Int64.sub (Guard.Clock.now_ns ()) t0);
+        run_ms = ms_of_ns (Int64.sub (Obs.Clock.now_ns ()) t0);
       }
     in
     Obs.Journal.record ~kind:"job.finished"
@@ -354,7 +354,7 @@ let rec executor_loop t =
     end
     else begin
       job.state <- Msg.Running;
-      job.started_ns <- Guard.Clock.now_ns ();
+      job.started_ns <- Obs.Clock.now_ns ();
       t.running <- Some job;
       Mutex.unlock t.lock;
       let wait_ns = Int64.sub job.started_ns job.enq_ns in
@@ -501,7 +501,7 @@ let submit t ~tenant spec =
             spec;
             rules;
             cancel_handle = Guard.Deadline.cancellable ();
-            enq_ns = Guard.Clock.now_ns ();
+            enq_ns = Obs.Clock.now_ns ();
             state = Msg.Queued;
             started_ns = 0L;
           }
@@ -571,7 +571,7 @@ let cancel_job t (job : job) =
     Guard.Deadline.cancel job.cancel_handle;
     journal_cancelled job;
     Telemetry.record_cancel t.telemetry ~tenant:job.tenant;
-    let wait_ns = Int64.sub (Guard.Clock.now_ns ()) job.enq_ns in
+    let wait_ns = Int64.sub (Obs.Clock.now_ns ()) job.enq_ns in
     Some (Job_done { tenant = job.tenant; result = cancelled_result job ~wait_ns })
   | Msg.Running ->
     Guard.Deadline.cancel job.cancel_handle;
@@ -623,7 +623,7 @@ let stats t =
       queued = count_queued t;
       running = t.running <> None;
       queue_capacity = t.config.queue_capacity;
-      uptime_s = Guard.Clock.now_s () -. t.born_s;
+      uptime_s = Obs.Clock.now_s () -. t.born_s;
       interned_circuits = Hashtbl.length t.intern;
       slo = [];
     }
@@ -637,7 +637,7 @@ let metrics t =
   let running_age_s =
     match t.running with
     | Some job when job.started_ns <> 0L ->
-      Int64.to_float (Int64.sub (Guard.Clock.now_ns ()) job.started_ns)
+      Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) job.started_ns)
       *. 1e-9
     | _ -> 0.0
   in
@@ -656,7 +656,7 @@ let metrics t =
         ("running_job_age_s", "Wall-clock age of the running job.",
          running_age_s);
         ("rejected_total", "Admissions rejected since start.", rejected);
-        ("uptime_s", "Engine uptime.", Guard.Clock.now_s () -. t.born_s);
+        ("uptime_s", "Engine uptime.", Obs.Clock.now_s () -. t.born_s);
         ("interned_circuits", "Warm interned circuit images.", interned);
         ("journal_events", "Journal events recorded since enable.",
          float_of_int (Obs.Journal.events_total ()));

@@ -90,6 +90,21 @@ let prop_tt_of_lit =
           Tt.get_bit tt m = out)
         (List.init 32 Fun.id))
 
+(* [of_tt] minimizes with [min_sops] at every width; nothing in the
+   optimizer asks above 8 variables, so exercise 9 and 10 here. *)
+let prop_of_tt_wide =
+  qtest ~count:8 "synth: of_tt on wide tables"
+    (QCheck.make ~print:string_of_int QCheck.Gen.int)
+    (fun seed ->
+      List.for_all
+        (fun n ->
+          let tt = Tt.random (Random.State.make [| seed; n |]) n in
+          let g = Aig.create () in
+          let ins = Array.init n (fun _ -> Aig.add_input g) in
+          let l = Aig.Synth.of_tt g (Aig.Lev.create g) tt ~leaf:(Array.get ins) in
+          Tt.equal (Aig.tt_of_lit g l) tt)
+        [ 9; 10 ])
+
 let prop_balance_equiv =
   qtest "balance preserves function" gen_seed (fun seed ->
       let g = random_aig ~inputs:6 ~gates:60 seed in
@@ -303,6 +318,7 @@ let () =
           prop_rewrite_equiv;
           prop_sweep_equiv;
           prop_cut_functions;
+          prop_of_tt_wide;
           prop_resub_equiv;
           Alcotest.test_case "resub shortcut" `Quick test_resub_finds_shortcut;
         ] );

@@ -374,53 +374,6 @@ let props_match_reference =
     (fun n -> prop_matches_reference n ~count:(match n with 8 -> 20 | 7 -> 60 | _ -> 300))
     (List.init 9 Fun.id)
 
-(* --- Espresso ------------------------------------------------------------ *)
-
-let prop_espresso_exact =
-  qtest ~count:80 "espresso: cover equals function" (gen_tt 6) (fun f ->
-      let s = Logic.Espresso.minimize ~on:f ~dc:(Tt.const_false 6) in
-      Tt.equal (Sop.to_tt s) f)
-
-let prop_espresso_with_dc =
-  qtest ~count:60 "espresso: between on and on+dc"
-    (QCheck.pair (gen_tt 6) (gen_tt 6))
-    (fun (a, b) ->
-      let on = Tt.land_ a b in
-      let dc = Tt.land_ (Tt.lnot on) (Tt.lxor_ a b) in
-      let s = Logic.Espresso.minimize ~on ~dc in
-      let c = Sop.to_tt s in
-      Tt.is_const_false (Tt.land_ on (Tt.lnot c))
-      && Tt.is_const_false (Tt.land_ c (Tt.lnot (Tt.lor_ on dc))))
-
-let prop_espresso_cubes_prime =
-  qtest ~count:40 "espresso: cubes are primes" (gen_tt 5) (fun on ->
-      let dc = Tt.const_false 5 in
-      let s = Logic.Espresso.minimize ~on ~dc in
-      let inside c = Tt.is_const_false (Tt.land_ (Cube.to_tt 5 c) (Tt.lnot on)) in
-      List.for_all
-        (fun c ->
-          List.for_all
-            (fun (i, _) ->
-              let c' =
-                { Cube.mask = c.Cube.mask land lnot (1 lsl i);
-                  bits = c.Cube.bits land lnot (1 lsl i) }
-              in
-              not (inside c'))
-            (Cube.literals c))
-        s.Sop.cubes)
-
-let prop_espresso_not_worse =
-  qtest ~count:40 "espresso: no more cubes than isop" (gen_tt 6) (fun f ->
-      let e = Logic.Espresso.minimize ~on:f ~dc:(Tt.const_false 6) in
-      let i = Minimize.isop ~lower:f ~upper:f in
-      Sop.num_cubes e <= Sop.num_cubes i)
-
-let prop_espresso_wide =
-  qtest ~count:8 "espresso: handles 10-variable functions" (gen_tt 10)
-    (fun f ->
-      let s = Logic.Espresso.minimize ~on:f ~dc:(Tt.const_false 10) in
-      Tt.equal (Sop.to_tt s) f)
-
 let test_known_minimum () =
   (* f = x0 x1 + ~x0 x2 : classic 2-cube minimum with a consensus term. *)
   let n = 3 in
@@ -473,12 +426,4 @@ let () =
           Alcotest.test_case "known minimum" `Quick test_known_minimum;
         ] );
       ("reference", props_match_reference);
-      ( "espresso",
-        [
-          prop_espresso_exact;
-          prop_espresso_with_dc;
-          prop_espresso_cubes_prime;
-          prop_espresso_not_worse;
-          prop_espresso_wide;
-        ] );
     ]

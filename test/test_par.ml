@@ -178,21 +178,21 @@ let test_init_per_worker () =
 (* ------------------------------------------------------------------ *)
 
 let test_deadline () =
-  let d = Par.Deadline.after 0.05 in
+  let d = Guard.Deadline.after 0.05 in
   Alcotest.(check bool) "fresh deadline not expired" false
-    (Par.Deadline.expired d);
+    (Guard.Deadline.expired d);
   Alcotest.(check bool) "remaining positive" true
-    (Par.Deadline.remaining_s d > 0.0);
-  let stop = Par.Clock.now_s () +. 0.08 in
-  while Par.Clock.now_s () < stop do
+    (Guard.Deadline.remaining_s d > 0.0);
+  let stop = Obs.Clock.now_s () +. 0.08 in
+  while Obs.Clock.now_s () < stop do
     ignore (spin 1)
   done;
   Alcotest.(check bool) "expired after sleeping past it" true
-    (Par.Deadline.expired d);
+    (Guard.Deadline.expired d);
   Alcotest.(check bool) "never never expires" false
-    (Par.Deadline.expired Par.Deadline.never);
+    (Guard.Deadline.expired Guard.Deadline.never);
   Alcotest.(check bool) "never has infinite slack" true
-    (Par.Deadline.remaining_s Par.Deadline.never = infinity)
+    (Guard.Deadline.remaining_s Guard.Deadline.never = infinity)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel vs sequential bit-identity of the table1 adder flow        *)

@@ -1,4 +1,4 @@
-(* Tests for static timing analysis and the SPCF engines. *)
+(* Tests for floating-mode delays and the SPCF engines. *)
 
 module Tt = Logic.Tt
 
@@ -23,39 +23,6 @@ let random_aig ?(inputs = 6) ?(gates = 40) ?(outputs = 2) seed =
     Aig.add_output g (Printf.sprintf "y%d" i) (pick ())
   done;
   g
-
-(* --- STA ---------------------------------------------------------------- *)
-
-let test_sta_chain () =
-  let g = Aig.create () in
-  let a = Aig.add_input g and b = Aig.add_input g and c = Aig.add_input g in
-  let ab = Aig.band g a b in
-  let abc = Aig.band g ab c in
-  Aig.add_output g "o" abc;
-  let r = Timing.Sta.analyze g in
-  Alcotest.(check int) "depth" 2 r.Timing.Sta.depth;
-  Alcotest.(check int) "arrival ab" 1 r.Timing.Sta.arrival.(Aig.node_of_lit ab);
-  Alcotest.(check int) "required ab" 1 r.Timing.Sta.required.(Aig.node_of_lit ab);
-  let crit = Timing.Sta.critical_nodes g r in
-  Alcotest.(check bool) "ab critical" true (List.mem (Aig.node_of_lit ab) crit);
-  let path = Timing.Sta.critical_path g r in
-  Alcotest.(check int) "path length" 3 (List.length path)
-
-let prop_sta_invariants =
-  qtest "arrival <= required on reachable logic" gen_seed (fun seed ->
-      let g = random_aig seed in
-      let r = Timing.Sta.analyze g in
-      List.for_all
-        (fun id ->
-          r.Timing.Sta.required.(id) = max_int
-          || r.Timing.Sta.arrival.(id) <= r.Timing.Sta.required.(id))
-        (List.init (Aig.num_nodes g) Fun.id))
-
-let prop_critical_outputs =
-  qtest "some output is critical" gen_seed (fun seed ->
-      let g = random_aig seed in
-      let r = Timing.Sta.analyze g in
-      r.Timing.Sta.depth = 0 || Timing.Sta.critical_outputs g r <> [])
 
 (* --- floating-mode delays ----------------------------------------------- *)
 
@@ -171,12 +138,6 @@ let test_boolean_difference () =
 let () =
   Alcotest.run "timing"
     [
-      ( "sta",
-        [
-          Alcotest.test_case "chain" `Quick test_sta_chain;
-          prop_sta_invariants;
-          prop_critical_outputs;
-        ] );
       ( "floating",
         [
           Alcotest.test_case "controlling value" `Quick test_floating_controlling;
