@@ -20,8 +20,9 @@
 #                    the -j 1 trace stays at BENCH_obs_trace.json for CI
 #   5  table2-guard  the fast subset with an injected BDD blowup: every
 #                    cell CEC-checked, the fault fired
-#   7  (shell)       lookahead_serve warm jobs, clean and faulted, match
-#                    one-shot lookahead_opt runs (BLIF cmp, reports)
+#   7  (shell)       one job sequence across processes: run cold in a
+#                    fresh lookahead_opt opt and warm on a lookahead_serve
+#                    executor, clean and faulted (BLIF cmp, reports)
 #   8  sat           sweep kernel and miters: equivalence, seed md5s, miter
 #                    total under the seed's, reductions fire; a dalu driver
 #                    run reduces and deletes learnts

@@ -81,30 +81,21 @@
    DESIGN.md); the shape — which tool wins, by roughly what factor — is
    the reproduction target and is recorded in EXPERIMENTS.md. *)
 
-let tools : (string * (Aig.t -> Aig.t)) list =
-  [
-    ("SIS", Baselines.sis_like);
-    ("ABC", Baselines.abc_like);
-    ("DC", Baselines.dc_like);
-    ("Lookahead", fun g -> Lookahead.optimize g);
-  ]
-
-(* The same four tools with the lookahead anytime deadline disabled.
-   The deadline makes cut-short results depend on wall-clock
-   scheduling, so the cross-[-j] identity checks must run a workload
-   where it can never fire. The driver terminates without it
-   (the round loops are depth-improvement fixpoints with bounded
-   budgets); the deadline only matters for circuits like C432 where
-   convergence is slower than anyone wants to wait. *)
-let nolimit = { Lookahead.Driver.default with time_limit_s = infinity }
-
-let tools_nolimit : (string * (Aig.t -> Aig.t)) list =
+(* The four table tools, picked through the [-t] dispatch both CLIs
+   use; [options] reaches the lookahead arm only. *)
+let tools ~options : (string * (Aig.t -> Aig.t)) list =
   List.map
-    (fun (name, f) ->
-      if String.equal name "Lookahead" then
-        (name, fun g -> Lookahead.optimize ~options:nolimit g)
-      else (name, f))
-    tools
+    (fun (label, spec) -> (label, Serve.Run.tool ~options spec))
+    [ ("SIS", "sis"); ("ABC", "abc"); ("DC", "dc"); ("Lookahead", "lookahead") ]
+
+(* Driver options with the anytime deadline disabled. The deadline
+   makes cut-short results depend on wall-clock scheduling, so the
+   cross-[-j] identity checks must run a workload where it can never
+   fire. The driver terminates without it (the round loops are
+   depth-improvement fixpoints with bounded budgets); the deadline only
+   matters for circuits like C432 where convergence is slower than
+   anyone wants to wait. *)
+let nolimit = { Lookahead.Driver.default with time_limit_s = infinity }
 
 type metrics = { gates : int; levels : int; delay : float; power : float }
 
@@ -121,7 +112,8 @@ let measure g =
 (* Table 1: best AIG levels for n-bit ripple-carry adders.             *)
 (* ------------------------------------------------------------------ *)
 
-let table1 ?(tools = tools) () =
+let table1 ?(options = Lookahead.Driver.default) () =
+  let tools = tools ~options in
   print_endline
     "== Table 1: AIG levels after timing optimization, n-bit adders ==";
   Printf.printf "%-4s %-8s %-6s %-6s %-6s %-10s\n" "n" "Optimum" "SIS" "ABC"
@@ -162,11 +154,12 @@ let fast_subset =
   ]
 
 (* The identity workloads' circuits: C432 is the one fast-subset circuit
-   only the anytime deadline bounds (see [tools_nolimit]). *)
+   only the anytime deadline bounds (see [nolimit]). *)
 let fast_subset_nolimit =
   List.filter (fun n -> not (String.equal n "C432")) fast_subset
 
-let table2 ?(tools = tools) ?names ~full () =
+let table2 ?(options = Lookahead.Driver.default) ?names ~full () =
+  let tools = tools ~options in
   Printf.printf
     "== Table 2: comparison with the best SIS / ABC / DC results%s ==\n"
     (if full then "" else " (fast subset; use table2-full for all 15)");
@@ -613,7 +606,7 @@ let with_captured_stdout f =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-runtime scaling (gate 2): table1 + the table2 fast subset, *)
-(* deadline off and without C432 (see [tools_nolimit]), through       *)
+(* deadline off and without C432 (see [nolimit]), through             *)
 (* [across_jobs] at every size in BENCH_PAR_JOBS, in the listed order  *)
 (* so the overhead ratio stays comparable across commits. The printed *)
 (* tables are the result. Exits 1 when the largest pool is more than   *)
@@ -635,8 +628,8 @@ let par_bench () =
       ~det:(fun text -> Obs.Json.String text)
       (fun () ->
         with_captured_stdout (fun () ->
-            table1 ~tools:tools_nolimit ();
-            table2 ~tools:tools_nolimit ~names:fast_subset_nolimit
+            table1 ~options:nolimit ();
+            table2 ~options:nolimit ~names:fast_subset_nolimit
               ~full:false ()))
   in
   let seconds j = (List.find (fun r -> r.jobs = j) runs).seconds in
@@ -1539,7 +1532,7 @@ let table2_guard () =
       ~det:(fun text -> Obs.Json.String text)
       (fun () ->
         with_captured_stdout (fun () ->
-            table2 ~tools:tools_nolimit ~names:fast_subset_nolimit
+            table2 ~options:nolimit ~names:fast_subset_nolimit
               ~full:false ()))
   in
   let r = List.hd runs in

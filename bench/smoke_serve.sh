@@ -6,8 +6,11 @@
 # telemetry surfaces (metrics exposition, per-job trace, top, journal
 # JSONL), check that a combinational-loop BLIF fails cleanly and a
 # clean job still runs after it, then shut the server down and require
-# it to exit cleanly. Last, a fresh `-j 2` server must complete a
-# portfolio job as its very first job.
+# it to exit cleanly. Then a fresh `-j 2` server must complete a
+# portfolio job as its very first job. Last, the one-shot
+# `lookahead_opt opt`, which runs the same job path cold, must fail the
+# loop BLIF the same typed way (exit 1, `job failed:`), report an
+# injected fault as `degraded: yes`, and pass `--check`.
 #
 # This is the cheap always-on CI check; the full warm-vs-cold identity
 # and telemetry gates live in check_regression.sh (gates 7 and 9), and
@@ -22,7 +25,7 @@ out="${TMPDIR:-/tmp}/serve_smoke.$$"
 mkdir -p "$out"
 trap 'rm -rf "$out"; rm -f "$sock" "$sock2"' EXIT
 
-dune build bin/lookahead_serve.exe bench/main.exe
+dune build bin/lookahead_serve.exe bin/lookahead_opt.exe bench/main.exe
 
 dune exec bin/lookahead_serve.exe -- run -s "$sock" -j 2 \
   --journal "$out/journal.jsonl" --slo 'xs=60000,s=60000' \
@@ -177,6 +180,31 @@ dune exec bin/lookahead_serve.exe -- shutdown -s "$sock2" >/dev/null || {
 if ! wait "$server2_pid"; then
   echo "smoke_serve: FAIL — second server exited non-zero" >&2; fail=1
 fi
+
+# The one-shot CLI: the loop BLIF is a failed job, not an uncaught
+# exception; an injected fault degrades the job with no obs flag given;
+# --check proves the emitted BLIF against the input.
+rc=0
+dune exec bin/lookahead_opt.exe -- opt --blif "$out/loop.blif" -t none \
+  >"$out/cli_loop.out" 2>"$out/cli_loop.err" || rc=$?
+if [ "$rc" != 1 ]; then
+  echo "smoke_serve: FAIL — CLI loop job exited $rc, not 1" >&2; fail=1
+fi
+grep -q "^job failed:.*combinational loop" "$out/cli_loop.err" || {
+  echo "smoke_serve: FAIL — CLI loop job did not report a failed job with the loop" >&2
+  fail=1; }
+dune exec bin/lookahead_opt.exe -- opt --adder cla:8 --time-limit 0 \
+  --inject 'bdd@500:r' >"$out/cli_faulted.out" 2>"$out/cli_faulted.err" || {
+  echo "smoke_serve: FAIL — CLI faulted job did not complete" >&2; fail=1; }
+grep -q "degraded: yes" "$out/cli_faulted.err" || {
+  echo "smoke_serve: FAIL — CLI faulted job did not report degradation" >&2
+  fail=1; }
+dune exec bin/lookahead_opt.exe -- opt --adder ripple:4 --time-limit 0 \
+  --check >"$out/cli_check.out" 2>/dev/null || {
+  echo "smoke_serve: FAIL — CLI --check run failed" >&2; fail=1; }
+grep -q "^equivalence: PASS" "$out/cli_check.out" || {
+  echo "smoke_serve: FAIL — CLI --check did not print equivalence: PASS" >&2
+  fail=1; }
 
 if [ "$fail" = 0 ]; then
   echo "smoke_serve: OK"

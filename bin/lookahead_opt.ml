@@ -1,76 +1,66 @@
-(* Command-line driver: optimize a circuit with any of the four tools and
+(* Command-line driver: optimize a circuit with any of the tools and
    report the Table 2 metrics (AIG gates, AIG levels, mapped delay, power
-   at 1 GHz). The flag plumbing and the execution sequence live in
-   Serve.Cli / Serve.Run, shared with the job server and the bench
-   harness, so the one-shot CLI and the warm server cannot drift. *)
+   at 1 GHz). [opt] is a front end over Serve.Engine.run_cold: it turns
+   its flags into the same Msg.submit that `lookahead_serve submit`
+   sends, runs the job sequence the server's executor runs, and prints
+   the result with the same Serve.Cli.print_result, so the one-shot CLI
+   and the warm server cannot drift. *)
 
 open Cmdliner
 module Cli = Serve.Cli
+module Msg = Serve.Msg
 module Run = Serve.Run
 
 let opt_cmd =
-  let tool =
-    Arg.(value & opt string "lookahead" & info [ "t"; "tool" ] ~docv:"TOOL"
-           ~doc:"Optimizer: lookahead, sis, abc, dc, resub, mfs, none, \
-                 egraph[:COST], or portfolio[:COST].")
-  in
   let check =
     Arg.(value & flag & info [ "check" ]
            ~doc:"Run SAT equivalence checking against the input.")
   in
-  let out_blif =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the optimized circuit as BLIF.")
-  in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logs.") in
   let run circuit blif bench adder tool portfolio cost check out_blif verbose
-      jobs time_limit stats report_file trace journal inject =
+      jobs time_limit stats report trace journal inject =
     Cli.setup_logs verbose;
     Cli.setup_jobs jobs;
-    let obs = { Cli.stats; report = report_file; trace; journal } in
+    (* The job's report travels in its result; [finish_obs] writes only
+       the run-wide exports. *)
+    let obs = { Cli.stats; report; trace; journal } in
     Cli.setup_obs obs;
-    Cli.setup_inject ~prog:"lookahead_opt" inject;
     let tool = Cli.resolve_tool ~prog:"lookahead_opt" ~portfolio ~cost tool in
-    let source =
-      Cli.resolve_source
-        ~default:(Cli.Adder ("ripple", 8))
-        circuit blif bench adder
+    let source = Cli.resolve_source circuit blif bench adder in
+    let r =
+      Serve.Engine.run_cold
+        {
+          (Msg.submit_defaults ~source ~tool) with
+          Msg.inject;
+          time_limit_s = time_limit;
+          want_blif = out_blif <> None || check;
+          want_report = report <> None;
+        }
     in
-    let name = Cli.source_cli_name source in
-    let g = Cli.load_source_cli source in
-    let options = Cli.driver_options ?time_limit () in
-    let optimized = Run.tool ~options tool g in
-    let metrics = Run.metrics ~original:g optimized in
-    Fmt.pr "%a" (Run.pp_metrics ~circuit:name ~tool) metrics;
-    Cli.finish_obs obs;
-    if check then begin
-      match Aig.Cec.check g optimized with
+    Cli.finish_obs { obs with report = None };
+    Cli.print_result ?report ?blif:out_blif r;
+    if check then
+      match
+        Aig.Cec.check (Run.build_source source)
+          (Aig.Io.read_blif (Option.get r.Msg.blif))
+      with
       | Aig.Cec.Equivalent -> Fmt.pr "equivalence: PASS@."
       | Aig.Cec.Counterexample _ ->
         Fmt.pr "equivalence: FAIL@.";
         exit 1
-    end;
-    match out_blif with
-    | None -> ()
-    | Some path -> Cli.write_file path (Run.blif_of ~name optimized)
   in
   Cmd.v
     (Cmd.info "opt" ~doc:"Optimize a circuit and report Table 2 metrics.")
     Term.(
       const run $ Cli.circuit_term $ Cli.blif_term $ Cli.bench_term
-      $ Cli.adder_term $ tool $ Cli.portfolio_term $ Cli.cost_term $ check
-      $ out_blif $ verbose $ Cli.jobs_term $ Cli.time_limit_term
-      $ Cli.stats_term $ Cli.report_term $ Cli.trace_term $ Cli.journal_term
-      $ Cli.inject_term)
+      $ Cli.adder_term $ Cli.tool_term $ Cli.portfolio_term $ Cli.cost_term
+      $ check $ Cli.output_term $ Cli.verbose_term $ Cli.jobs_term
+      $ Cli.time_limit_term $ Cli.stats_term $ Cli.report_term
+      $ Cli.trace_term $ Cli.journal_term $ Cli.inject_term)
 
 let timing_cmd =
   let circuit =
     Arg.(value & opt string "C432" & info [ "c"; "circuit" ] ~docv:"NAME"
            ~doc:"Benchmark stand-in to analyze.")
-  in
-  let tool =
-    Arg.(value & opt string "lookahead" & info [ "t"; "tool" ] ~docv:"TOOL"
-           ~doc:"Optimizer applied before timing analysis.")
   in
   let run circuit tool jobs stats report_file trace =
     Cli.setup_logs false;
@@ -78,7 +68,7 @@ let timing_cmd =
     let obs = { Cli.stats; report = report_file; trace; journal = None } in
     Cli.setup_obs obs;
     let g = Circuits.Suite.build circuit in
-    let optimized = Run.tool ~options:(Cli.driver_options ()) tool g in
+    let optimized = Run.tool ~options:Lookahead.Driver.default tool g in
     let netlist = Techmap.Mapper.map optimized in
     let report = Techmap.Sta.analyze netlist in
     Fmt.pr "circuit: %s, tool: %s@." circuit tool;
@@ -88,7 +78,7 @@ let timing_cmd =
   Cmd.v
     (Cmd.info "timing" ~doc:"Map a circuit and print the STA report.")
     Term.(
-      const run $ circuit $ tool $ Cli.jobs_term $ Cli.stats_term
+      const run $ circuit $ Cli.tool_term $ Cli.jobs_term $ Cli.stats_term
       $ Cli.report_term $ Cli.trace_term)
 
 let export_cmd =

@@ -1,14 +1,15 @@
 (* Synthesis-as-a-service front end: [run] starts the persistent job
    server, the remaining subcommands are a thin client over the framed
-   JSON protocol (lib/serve). A [submit] with [--report]/[-o] writes
-   files byte-identical to a cold [lookahead_opt opt] run of the same
-   job — gate 7 of bench/check_regression.sh enforces that identity;
-   served throughput and latency are measured by perfbench's serve_mix
-   workload. *)
+   JSON protocol (lib/serve). [submit] builds the same Msg.submit as
+   [lookahead_opt opt] and prints the result with the same
+   Serve.Cli.print_result; the server runs it through the job sequence
+   that [opt] runs cold, so its [--report]/[-o] files are byte-identical
+   to the CLI's — gate 7 of bench/check_regression.sh compares the two
+   across processes. Served throughput and latency are measured by
+   perfbench's serve_mix workload. *)
 
 open Cmdliner
 module Cli = Serve.Cli
-module Run = Serve.Run
 module Msg = Serve.Msg
 module Client = Serve.Client
 
@@ -27,8 +28,6 @@ let tcp_arg =
 
 let listen_of socket tcp : Serve.Server.listen =
   match tcp with Some (h, p) -> `Tcp (h, p) | None -> `Unix socket
-
-let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logs.")
 
 let run_cmd =
   let queue =
@@ -102,14 +101,9 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run the persistent synthesis job server.")
     Term.(
       const run $ socket_arg $ tcp_arg $ queue $ max_frame $ journal
-      $ journal_max_bytes $ slo $ Cli.jobs_term $ verbose_arg)
+      $ journal_max_bytes $ slo $ Cli.jobs_term $ Cli.verbose_term)
 
 let submit_cmd =
-  let tool =
-    Arg.(value & opt string "lookahead" & info [ "t"; "tool" ] ~docv:"TOOL"
-           ~doc:"Optimizer: lookahead, sis, abc, dc, resub, mfs, none, \
-                 egraph[:COST], or portfolio[:COST].")
-  in
   let nodes =
     Arg.(
       value & opt int 0
@@ -141,23 +135,15 @@ let submit_cmd =
       value & flag
       & info [ "progress" ] ~doc:"Stream phase-completion events to stderr.")
   in
-  let out_blif =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the optimized circuit as BLIF.")
-  in
   let run socket tcp circuit blif bench adder tool portfolio cost nodes sat
       sat_total deadline inject time_limit progress out_blif report_file
       verbose =
     Cli.setup_logs verbose;
     let tool = Cli.resolve_tool ~prog:"lookahead_serve" ~portfolio ~cost tool in
-    let source =
-      Cli.resolve_source
-        ~default:(Cli.Adder ("ripple", 8))
-        circuit blif bench adder
-    in
+    let source = Cli.resolve_source circuit blif bench adder in
     let spec =
       {
-        (Msg.submit_defaults ~source:(Cli.msg_source_of_cli source) ~tool) with
+        (Msg.submit_defaults ~source ~tool) with
         Msg.budget =
           {
             Msg.bdd_node_ceiling = nodes;
@@ -178,27 +164,7 @@ let submit_cmd =
     in
     let _id, r = Client.submit_wait ~on_progress c spec in
     Client.close c;
-    match r.Msg.state with
-    | Msg.Done ->
-      (match r.Msg.metrics with
-      | Some m ->
-        Fmt.pr "%a" (Run.pp_metrics ~circuit:r.Msg.circuit ~tool:r.Msg.tool) m
-      | None -> ());
-      if r.Msg.degraded then Fmt.epr "degraded: yes@.";
-      (match (report_file, r.Msg.report) with
-      | Some path, Some j -> Cli.write_file path (Obs.Json.to_string j ^ "\n")
-      | _ -> ());
-      (match (out_blif, r.Msg.blif) with
-      | Some path, Some b -> Cli.write_file path b
-      | _ -> ())
-    | Msg.Failed ->
-      Fmt.epr "job failed: %s@."
-        (Option.value r.Msg.error ~default:"(no message)");
-      exit 1
-    | Msg.Cancelled ->
-      Fmt.epr "job cancelled@.";
-      exit 3
-    | Msg.Queued | Msg.Running -> assert false
+    Cli.print_result ?report:report_file ?blif:out_blif r
   in
   Cmd.v
     (Cmd.info "submit"
@@ -207,10 +173,10 @@ let submit_cmd =
           served image of $(b,lookahead_opt opt).")
     Term.(
       const run $ socket_arg $ tcp_arg $ Cli.circuit_term $ Cli.blif_term
-      $ Cli.bench_term $ Cli.adder_term $ tool $ Cli.portfolio_term
+      $ Cli.bench_term $ Cli.adder_term $ Cli.tool_term $ Cli.portfolio_term
       $ Cli.cost_term $ nodes $ sat $ sat_total $ deadline
-      $ Cli.inject_term $ Cli.time_limit_term $ progress $ out_blif
-      $ Cli.report_term $ verbose_arg)
+      $ Cli.inject_term $ Cli.time_limit_term $ progress $ Cli.output_term
+      $ Cli.report_term $ Cli.verbose_term)
 
 let id_arg =
   Arg.(required & pos 0 (some int) None & info [] ~docv:"ID" ~doc:"Job id.")

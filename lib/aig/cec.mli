@@ -33,3 +33,9 @@ type stats = {
 (** [check] plus the sweep's work counters (also recorded under the
     [cec.*] and [sat.*] [Obs] metrics when observation is enabled). *)
 val check_with_stats : ?guard:Guard.t -> Graph.t -> Graph.t -> verdict * stats
+
+(** Fold a finished solver's work into the [sat.*] [Obs] metrics:
+    counters add across solvers, gauges keep the peak. Every pass that
+    owns a fresh solver ([check], {!Sweep.sat_sweep}) records through
+    this. *)
+val record_solver_stats : Sat.Solver.t -> unit

@@ -109,7 +109,6 @@ let num_nodes g = g.n
 let num_ands g = g.n - 1 - g.num_inputs
 let inputs g = List.rev_map (fun id -> lit_of_node id false) g.input_ids
 let outputs g = List.rev g.outputs
-let output_lits g = List.map snd (List.rev g.outputs)
 let is_input g id = id > 0 && id < g.n && g.fanin0.(id) = -1
 let is_and g id = id > 0 && id < g.n && g.fanin0.(id) >= 0
 let input_index g id = Hashtbl.find g.input_pos id

@@ -48,7 +48,6 @@ val num_nodes : t -> int
 
 val inputs : t -> lit list
 val outputs : t -> (string * lit) list
-val output_lits : t -> lit list
 
 val lit_of_node : int -> bool -> lit
 val node_of_lit : lit -> int

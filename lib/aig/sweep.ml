@@ -4,18 +4,6 @@ let m_pairs = Obs.counter "sweep.candidate_pairs"
 let m_sat_calls = Obs.counter "sweep.sat_calls"
 let m_merges = Obs.counter "sweep.merges"
 
-(* Shared with [Cec] (same names; registration is idempotent). *)
-let m_sat_conflicts = Obs.counter "sat.conflicts"
-let m_sat_decisions = Obs.counter "sat.decisions"
-let m_sat_propagations = Obs.counter "sat.propagations"
-let m_sat_restarts = Obs.counter "sat.restarts"
-let m_sat_reductions = Obs.counter "sat.reductions"
-let m_sat_learnts_deleted = Obs.counter "sat.learnts_deleted"
-let m_sat_minimized = Obs.counter "sat.minimized_lits"
-let m_sat_vivified = Obs.counter "sat.vivified_lits"
-let g_sat_learnts_live = Obs.gauge "sat.learnts_live"
-let g_sat_arena_peak = Obs.gauge "sat.arena_peak_words"
-
 let sat_sweep ?(guard = Guard.none) ?(rounds = 8) ?(max_pairs = 2000) g =
   let nn = Graph.num_nodes g in
   let ni = Graph.num_inputs g in
@@ -123,17 +111,7 @@ let sat_sweep ?(guard = Guard.none) ?(rounds = 8) ?(max_pairs = 2000) g =
             end
           end)
         pairs;
-      (let s = Sat.Solver.stats solver in
-       Obs.add m_sat_conflicts s.Sat.Solver.conflicts;
-       Obs.add m_sat_decisions s.Sat.Solver.decisions;
-       Obs.add m_sat_propagations s.Sat.Solver.propagations;
-       Obs.add m_sat_restarts s.Sat.Solver.restarts;
-       Obs.add m_sat_reductions s.Sat.Solver.reductions;
-       Obs.add m_sat_learnts_deleted s.Sat.Solver.learnts_deleted;
-       Obs.add m_sat_minimized s.Sat.Solver.minimized_lits;
-       Obs.add m_sat_vivified s.Sat.Solver.vivified_lits;
-       Obs.gauge_max g_sat_learnts_live s.Sat.Solver.learnts_live;
-       Obs.gauge_max g_sat_arena_peak s.Sat.Solver.arena_peak_words);
+      Cec.record_solver_stats solver;
       if Hashtbl.length subst = 0 then Graph.cleanup g
       else begin
         (* Rebuild with substitutions applied. *)

@@ -27,6 +27,11 @@ let default =
     deadline = None;
   }
 
+let deadline_of options =
+  match options.deadline with
+  | Some d -> d
+  | None -> Guard.Deadline.after options.time_limit_s
+
 type stats = {
   rounds_run : int;
   outputs_decomposed : int;
@@ -539,11 +544,7 @@ let optimize_with_stats ?(options = default) g0 =
      every round checks the same absolute instant, so the time budget
      means the same thing at -j 1 and -j 8 and is immune to wall-clock
      adjustments. *)
-  let deadline =
-    match options.deadline with
-    | Some d -> d
-    | None -> Guard.Deadline.after options.time_limit_s
-  in
+  let deadline = deadline_of options in
   (* Run-level guard context for the sequential finishing passes (SAT
      sweep, final CEC); per-output decomposition jobs get their own.
      Deliberately deadline-free — the finishing passes always run to

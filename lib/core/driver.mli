@@ -46,6 +46,12 @@ type options = {
 
 val default : options
 
+(** The run's deadline: [options.deadline] when set, else one that
+    expires [time_limit_s] from now ({!Guard.Deadline.never} when that
+    is infinite). Every optimizer that takes [options] derives its
+    deadline here. *)
+val deadline_of : options -> Guard.Deadline.t
+
 (** Statistics of one optimization run. *)
 type stats = {
   rounds_run : int;

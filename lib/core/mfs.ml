@@ -12,8 +12,7 @@ let simplify_network ~guard man net =
   List.iter
     (fun id ->
       if not (Network.is_input net id) then begin
-        let nd = Network.node net id in
-        let k = Array.length nd.Network.fanins in
+        let k = Array.length (Network.node net id).Network.fanins in
         if k > 0 && k <= 8 then begin
           (* Observability: where some output sees the node. *)
           let observable =
@@ -24,44 +23,24 @@ let simplify_network ~guard man net =
                      ~out:o))
               (Bdd.bfalse man) outs
           in
-          let dc = ref (Logic.Tt.const_false k) in
-          for m = 0 to (1 lsl k) - 1 do
-            let image = Network.Globals.minterm_image man globals net id m in
-            (* Satisfiability dc: image empty. Observability dc: image
-               never observable. *)
-            if Bdd.is_false man (Bdd.band man image observable) then
-              dc := Logic.Tt.lor_ !dc (Logic.Tt.of_minterms k [ m ])
-          done;
-          if not (Logic.Tt.is_const_false !dc) then begin
-            let on = nd.Network.func in
-            let lower = Logic.Tt.land_ on (Logic.Tt.lnot !dc) in
-            let upper = Logic.Tt.lor_ on !dc in
-            let fanin_level i = levels.(nd.Network.fanins.(i)) in
-            let cost sop =
-              (Network.Levels.sop_depth sop ~fanin_level, Logic.Sop.num_literals sop)
+          (* Satisfiability dc: image empty. Observability dc: image
+             never observable. *)
+          match
+            Secondary.resimplify man ~globals ~care:observable ~levels
+              ~by_literals:true net id
+          with
+          | Some func ->
+            Network.set_func net id func;
+            (* Later nodes must see the updated global functions: a
+               change inside the ODC of the *original* network could
+               otherwise compose unsoundly with a second change. Only
+               the edited node's transitive fanout can differ. *)
+            let fresh =
+              Network.Globals.update ~guard man globals net ~dirty:[ id ]
+                ~fanouts
             in
-            let pos = Logic.Minimize.isop ~lower ~upper in
-            let neg =
-              Logic.Minimize.isop ~lower:(Logic.Tt.lnot upper)
-                ~upper:(Logic.Tt.lnot lower)
-            in
-            let func =
-              if cost pos <= cost neg then Logic.Sop.to_tt pos
-              else Logic.Tt.lnot (Logic.Sop.to_tt neg)
-            in
-            if not (Logic.Tt.equal func nd.Network.func) then begin
-              Network.set_func net id func;
-              (* Later nodes must see the updated global functions: a
-                 change inside the ODC of the *original* network could
-                 otherwise compose unsoundly with a second change. Only
-                 the edited node's transitive fanout can differ. *)
-              let fresh =
-                Network.Globals.update ~guard man globals net ~dirty:[ id ]
-                  ~fanouts
-              in
-              Array.blit fresh 0 globals 0 (Array.length globals)
-            end
-          end
+            Array.blit fresh 0 globals 0 (Array.length globals)
+          | None -> ()
         end
       end)
     (Network.topo_order net)

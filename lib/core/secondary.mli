@@ -24,3 +24,20 @@ val run :
   analysis:Network.Analysis.t ->
   out:Network.output ->
   int list
+
+(** [resimplify man ~globals ~care ~levels net id] re-covers node [id]
+    against its local don't-cares, the fanin minterms whose global
+    image misses [care], keeping the polarity whose cover is shallower
+    under [levels] (with [~by_literals:true], a depth tie goes to fewer
+    literals; then to the positive one). [None] when nothing changes.
+    {!run} passes the window complement as [care], {!Mfs} the node's
+    observability. *)
+val resimplify :
+  Bdd.man ->
+  globals:Bdd.t array ->
+  care:Bdd.t ->
+  levels:int array ->
+  ?by_literals:bool ->
+  Network.t ->
+  int ->
+  Logic.Tt.t option

@@ -248,8 +248,6 @@ let rebuild t =
     List.iter (Hashtbl.remove t.memo) stale
   end
 
-let num_enodes t = t.n_enodes
-
 let classes t =
   let acc = ref [] in
   for c = t.n - 1 downto 0 do
@@ -257,7 +255,6 @@ let classes t =
   done;
   !acc
 
-let num_classes t = List.length (classes t)
 let nodes_of t c = t.nodes.(find t c)
 
 let invariants_ok t =

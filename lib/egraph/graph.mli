@@ -69,9 +69,6 @@ val find : t -> id -> id
     call from a [Blowup] handler before best-so-far extraction. *)
 val rebuild : t -> unit
 
-val num_enodes : t -> int
-val num_classes : t -> int
-
 (** Canonical ids of all e-classes, ascending. *)
 val classes : t -> id list
 

@@ -40,15 +40,11 @@ let arm_names =
 
 let run_ex ?(options = Lookahead.Driver.default) ?pool ~(cost : Cost.t) g =
   let arms = arms options ~cost in
-  let deadline =
-    match options.deadline with
-    | Some d -> d
-    | None ->
-      if options.time_limit_s < infinity then
-        Guard.Deadline.after options.time_limit_s
-      else Guard.Deadline.never
+  let parent =
+    Guard.create
+      ~deadline:(Lookahead.Driver.deadline_of options)
+      options.guard_budget
   in
-  let parent = Guard.create ~deadline options.guard_budget in
   let run_arm name f ctx =
     Obs.with_span (Obs.span ("portfolio.arm." ^ name)) (fun () ->
         let out = try f ctx g with Guard.Blowup _ -> g in

@@ -48,16 +48,6 @@ let get_bit t m =
   Int64.logand (Int64.shift_right_logical t.words.(m lsr 6) (m land 63)) 1L
   = 1L
 
-let set_bit t m b =
-  assert (m >= 0 && m < size t);
-  let words = Array.copy t.words in
-  let bit = Int64.shift_left 1L (m land 63) in
-  let w = m lsr 6 in
-  words.(w) <-
-    (if b then Int64.logor words.(w) bit
-     else Int64.logand words.(w) (Int64.lognot bit));
-  { t with words }
-
 let map2 f a b =
   assert (a.n = b.n);
   let words = Array.init (Array.length a.words) (fun i -> f a.words.(i) b.words.(i)) in

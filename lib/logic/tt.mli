@@ -28,9 +28,6 @@ val var : int -> int -> t
 (** [get_bit f m] is the value of [f] on minterm [m]. *)
 val get_bit : t -> int -> bool
 
-(** [set_bit f m b] is [f] with minterm [m] set to [b] (functional). *)
-val set_bit : t -> int -> bool -> t
-
 val lnot : t -> t
 val land_ : t -> t -> t
 val lor_ : t -> t -> t

@@ -164,9 +164,6 @@ let depth net =
     (fun acc (o : Graph.output) -> max acc levels.(o.Graph.node))
     0 (Graph.outputs net)
 
-let output_levels net ~levels =
-  List.map (fun (o : Graph.output) -> (o, levels.(o.Graph.node))) (Graph.outputs net)
-
 let critical_inputs net ~levels id =
   if Graph.is_input net id then []
   else begin

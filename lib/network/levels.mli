@@ -59,9 +59,6 @@ end
 (** Level of the deepest output. *)
 val depth : Graph.t -> int
 
-(** [output_level net ~levels] per-output levels. *)
-val output_levels : Graph.t -> levels:int array -> (Graph.output * int) list
-
 (** [critical_inputs net ~levels id] are the fanin positions whose level
     reduction is a necessary condition for reducing the node's level —
     operationally, the positions carrying the maximum fanin level. When

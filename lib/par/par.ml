@@ -261,7 +261,7 @@ let () =
           s.Pool.per_domain_completed)
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic map / fork / map_reduce                               *)
+(* Deterministic map / map_merge                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-call context store: one [init ()] per worker domain that executes
@@ -292,6 +292,8 @@ let ctx_get store =
 
 let resolve_pool = function Some p -> p | None -> shared ()
 
+(* Submit every item and return the futures in submission order,
+   unawaited: [map] awaits them all, [map_merge] one wave at a time. *)
 let fork ?pool ~init ~f xs =
   let pool = resolve_pool pool in
   let store = { cm = Mutex.create (); tbl = Hashtbl.create 8; cinit = init } in
@@ -310,9 +312,6 @@ let map ?pool ~init ~f xs =
   else List.map await (fork ~pool ~init ~f xs)
 
 let map_list ?pool f xs = map ?pool ~init:(fun () -> ()) ~f:(fun () x -> f x) xs
-
-let map_reduce ?pool ~init ~f ~combine acc xs =
-  List.fold_left combine acc (map ?pool ~init ~f xs)
 
 (* Bounded-wave fork + submission-order merge. The affinity contract
    this encodes: any state a job builds privately (a per-job BDD

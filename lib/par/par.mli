@@ -2,15 +2,15 @@
 
     A fixed-size pool of OCaml 5 domains with a FIFO work queue and
     futures. The design contract, relied on by every caller in this
-    repository, is {e order determinism}: {!map}, {!fork} and
-    {!map_reduce} assemble results in submission order, so given a
-    deterministic job function the output is bit-identical regardless of
-    worker count or scheduling.
+    repository, is {e order determinism}: {!map} and {!map_merge}
+    assemble results in submission order, so given a deterministic job
+    function the output is bit-identical regardless of worker count or
+    scheduling.
 
     Shared mutable state (the CUDD-style [Bdd] manager, [Network]s,
     growing [Aig]s) is single-domain; the isolation convention is that a
     job either builds all the state it mutates itself, or receives it
-    from the [~init] callback of {!map}/{!fork}, which is invoked at most
+    from the [~init] callback of {!map}/{!map_merge}, which is invoked at most
     once per worker domain per call (fresh BDD managers, network copies,
     scratch buffers). Immutable or frozen structures (an [Aig.t] that is
     only read, truth tables) may be shared freely — no read path of those
@@ -63,7 +63,7 @@ val submit : Pool.t -> (unit -> 'a) -> 'a future
 (** Wait for a future, executing queued tasks while it is pending.
     When observation is enabled ([Obs.enable]), each task records into
     its own private sink, and [await] folds that sink into the awaiting
-    context — so {!map}/{!fork} callers merge per-task metrics in
+    context — so {!map}/{!map_merge} callers merge per-task metrics in
     submission order and aggregate counts are bit-identical at any
     [-j]. *)
 val await : 'a future -> 'a
@@ -93,30 +93,6 @@ val map :
 
 (** Stateless {!map}. *)
 val map_list : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Like {!map} but returns the futures in submission order without
-    awaiting, so the caller can merge results incrementally (and bound
-    how much completed-but-unmerged state is live) while later jobs are
-    still running. *)
-val fork :
-  ?pool:Pool.t ->
-  init:(unit -> 'w) ->
-  f:('w -> 'a -> 'b) ->
-  'a list ->
-  'b future list
-
-(** [map_reduce ~init ~f ~combine acc xs] folds [combine] over the
-    mapped results {e in submission order} — the reduction order, and
-    hence any non-associative effects (floating-point sums), match the
-    sequential run exactly. *)
-val map_reduce :
-  ?pool:Pool.t ->
-  init:(unit -> 'w) ->
-  f:('w -> 'a -> 'b) ->
-  combine:('acc -> 'b -> 'acc) ->
-  'acc ->
-  'a list ->
-  'acc
 
 (** [map_merge ~init ~f ~merge acc xs] forks jobs in waves of [wave]
     (default [4 * pool size]) and folds [merge acc x (f ctx x)] {e in

@@ -212,7 +212,6 @@ let ensure_var s v =
 
 let new_var s = ensure_var s (s.nvars + 1)
 let num_vars s = s.nvars
-let num_clauses s = s.n_clauses
 let last_conflicts s = s.last_conflicts
 
 let to_internal l =

@@ -68,7 +68,6 @@ val solve_limited :
 val value : t -> int -> bool
 
 val num_vars : t -> int
-val num_clauses : t -> int
 
 (** Number of conflicts in the last [solve] call, for diagnostics. *)
 val last_conflicts : t -> int

@@ -1,13 +1,15 @@
-(* Shared CLI plumbing. See cli.mli. The terms are what
-   bin/lookahead_opt.ml grew organically; they live here so the server
-   binary and the bench harness parse the same flags and the three
-   front ends cannot drift. *)
+(* Shared CLI plumbing. See cli.mli. The terms live here so the two
+   binaries and the bench harness parse the same flags, and the two job
+   front ends print a result the same way. *)
 
 open Cmdliner
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
+
+let verbose_term =
+  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logs.")
 
 let write_file path text =
   let oc = open_out path in
@@ -143,16 +145,16 @@ let time_limit_term =
            across $(b,-j)) should pass 0 — a deadline cut depends on \
            scheduling.")
 
-let driver_options ?time_limit () =
-  match time_limit with
-  | None -> Lookahead.Driver.default
-  | Some s ->
-    {
-      Lookahead.Driver.default with
-      time_limit_s = (if s <= 0.0 then infinity else s);
-    }
+(* --- tools ------------------------------------------------------------- *)
 
-(* --- portfolio mode ---------------------------------------------------- *)
+let tool_term =
+  Arg.(
+    value
+    & opt string "lookahead"
+    & info [ "t"; "tool" ] ~docv:"TOOL"
+        ~doc:
+          "Optimizer: lookahead, sis, abc, dc, resub, mfs, none, \
+           egraph[:COST], or portfolio[:COST].")
 
 let portfolio_term =
   Arg.(
@@ -206,12 +208,6 @@ let resolve_tool ~prog ~portfolio ~cost tool =
 
 (* --- circuit sources --------------------------------------------------- *)
 
-type source_cli =
-  | Named of string
-  | Blif_file of string
-  | Bench_file of string
-  | Adder of string * int
-
 let circuit_term =
   Arg.(
     value
@@ -237,42 +233,48 @@ let adder_term =
     value
     & opt (some (pair ~sep:':' string int)) None
     & info [ "adder" ] ~docv:"KIND:N"
-        ~doc:"Generate an adder (ripple|cla|select|skip), e.g. ripple:16.")
+        ~doc:
+          (Printf.sprintf "Generate an adder (%s), e.g. ripple:16."
+             (String.concat "|" Run.adder_kinds)))
 
-let resolve_source ?default circuit blif bench adder =
-  match (circuit, blif, bench, adder, default) with
-  | Some n, None, None, None, _ -> Named n
-  | None, Some f, None, None, _ -> Blif_file f
-  | None, None, Some f, None, _ -> Bench_file f
-  | None, None, None, Some (k, n), _ -> Adder (k, n)
-  | None, None, None, None, Some d -> d
-  | None, None, None, None, None ->
-    invalid_arg "a circuit source is required"
+let resolve_source circuit blif bench adder =
+  match (circuit, blif, bench, adder) with
+  | None, None, None, None -> Msg.Adder { kind = "ripple"; bits = 8 }
+  | Some n, None, None, None -> Msg.Named n
+  | None, Some f, None, None ->
+    Msg.Blif { name = Filename.basename f; text = read_file f }
+  | None, None, Some f, None ->
+    Msg.Bench { name = Filename.basename f; text = read_file f }
+  | None, None, None, Some (kind, bits) -> Msg.Adder { kind; bits }
   | _ -> invalid_arg "choose exactly one circuit source"
 
-let source_cli_name = function
-  | Named n -> n
-  | Blif_file f | Bench_file f -> Filename.basename f
-  | Adder (k, n) -> Printf.sprintf "%s-adder-%d" k n
+(* --- results ----------------------------------------------------------- *)
 
-let build_adder kind n =
-  match kind with
-  | "ripple" -> Circuits.Adders.ripple_carry n
-  | "cla" -> Circuits.Adders.carry_lookahead n
-  | "select" -> Circuits.Adders.carry_select n
-  | "skip" -> Circuits.Adders.carry_skip n
-  | k -> invalid_arg (Printf.sprintf "unknown adder kind %s" k)
+let output_term =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE"
+        ~doc:"Write the optimized circuit as BLIF.")
 
-let load_source_cli = function
-  | Named name -> Circuits.Suite.build name
-  | Blif_file path -> Aig.Io.read_blif (read_file path)
-  | Bench_file path -> Aig.Io.read_bench (read_file path)
-  | Adder (kind, n) -> build_adder kind n
-
-let msg_source_of_cli = function
-  | Named n -> Msg.Named n
-  | Blif_file path ->
-    Msg.Blif { name = Filename.basename path; text = read_file path }
-  | Bench_file path ->
-    Msg.Bench { name = Filename.basename path; text = read_file path }
-  | Adder (kind, n) -> Msg.Adder { kind; bits = n }
+let print_result ?report ?blif (r : Msg.result) =
+  match r.Msg.state with
+  | Msg.Done ->
+    Option.iter
+      (Fmt.pr "%a" (Run.pp_metrics ~circuit:r.Msg.circuit ~tool:r.Msg.tool))
+      r.Msg.metrics;
+    if r.Msg.degraded then Fmt.epr "degraded: yes@.";
+    (match (report, r.Msg.report) with
+    | Some path, Some j -> write_file path (Obs.Json.to_string j ^ "\n")
+    | _ -> ());
+    (match (blif, r.Msg.blif) with
+    | Some path, Some b -> write_file path b
+    | _ -> ())
+  | Msg.Failed ->
+    Fmt.epr "job failed: %s@."
+      (Option.value r.Msg.error ~default:"(no message)");
+    exit 1
+  | Msg.Cancelled ->
+    Fmt.epr "job cancelled@.";
+    exit 3
+  | Msg.Queued | Msg.Running -> invalid_arg "print_result: unfinished job"

@@ -4,13 +4,21 @@
     all speak the same dialect: [-j]/[--jobs] (with the
     [LOOKAHEAD_JOBS] fallback inside [lib/par]), the observation trio
     [--stats]/[--report]/[--trace], deterministic fault injection
-    [--inject], the lookahead [--time-limit], and a common way of
-    naming a circuit source. This module is the single home of the
-    Cmdliner terms all three parse them with. *)
+    [--inject], the lookahead [--time-limit], [-t]/[-o]/[-v], and a
+    common way of naming a circuit source. This module is the single
+    home of the Cmdliner terms all three parse them with.
+
+    The two job front ends, [lookahead_opt opt] and [lookahead_serve
+    submit], both turn their flags into one {!Msg.submit}. The first
+    runs it cold in-process ({!Engine.run_cold}), the second sends it
+    to a server; both print the {!Msg.result} with {!print_result}. *)
 
 (** {1 Logging} *)
 
 val setup_logs : bool -> unit
+
+(** [-v]/[--verbose]: debug logs. *)
+val verbose_term : bool Cmdliner.Term.t
 
 (** {1 Worker domains} *)
 
@@ -50,21 +58,24 @@ val finish_obs : obs_flags -> unit
 
 val inject_term : string option Cmdliner.Term.t
 
-(** Arm the spec, or exit 2 with a [prog: --inject: reason] message on
-    a parse error. [None] leaves injection untouched. *)
+(** Arm the spec for the rest of the process, or exit 2 with a
+    [prog: --inject: reason] message on a parse error. [None] leaves
+    injection untouched. This is the bench's whole-run [--inject]; a
+    job's [inject] field is parsed at admission and armed per job by
+    the engine. *)
 val setup_inject : prog:string -> string option -> unit
 
 (** {1 Lookahead time limit} *)
 
+(** [--time-limit]: absent keeps the driver's default budget, [0] (or
+    negative) disables the anytime deadline, positive sets it — the
+    convention of {!Msg.submit}'s [time_limit_s]. *)
 val time_limit_term : float option Cmdliner.Term.t
 
-(** Driver options with the [--time-limit] convention applied:
-    [None] keeps the default budget, [Some 0.] (or negative) disables
-    the anytime deadline, positive sets it. *)
-val driver_options :
-  ?time_limit:float -> unit -> Lookahead.Driver.options
+(** {1 Tools} *)
 
-(** {1 Portfolio mode} *)
+(** [-t]/[--tool], default [lookahead]. *)
+val tool_term : string Cmdliner.Term.t
 
 val portfolio_term : bool Cmdliner.Term.t
 val cost_term : string option Cmdliner.Term.t
@@ -79,35 +90,35 @@ val resolve_tool :
 
 (** {1 Circuit sources} *)
 
-type source_cli =
-  | Named of string
-  | Blif_file of string
-  | Bench_file of string
-  | Adder of string * int
-
 val circuit_term : string option Cmdliner.Term.t
 val blif_term : string option Cmdliner.Term.t
 val bench_term : string option Cmdliner.Term.t
 val adder_term : (string * int) option Cmdliner.Term.t
 
-(** Combine the four source flags; more than one raises
-    [Invalid_argument]. [default] stands in when none is given. *)
+(** Combine the four source flags ([-c], [--blif], [--bench],
+    [--adder]) into the wire form. A BLIF or BENCH file is read here
+    and inlined under its basename, so a server never needs the
+    client's filesystem. No flag means [--adder ripple:8]; more than
+    one raises [Invalid_argument]. *)
 val resolve_source :
-  ?default:source_cli ->
   string option ->
   string option ->
   string option ->
   (string * int) option ->
-  source_cli
+  Msg.source
 
-val source_cli_name : source_cli -> string
+(** {1 Results} *)
 
-(** Build the circuit locally (reads BLIF/BENCH files). *)
-val load_source_cli : source_cli -> Aig.t
+(** [-o]/[--output]: where to write the optimized circuit as BLIF. *)
+val output_term : string option Cmdliner.Term.t
 
-(** The wire form: file sources are read and inlined, so the server
-    never needs the client's filesystem. *)
-val msg_source_of_cli : source_cli -> Msg.source
+(** Print a finished job. [Done]: the Table 2 metric block on stdout,
+    [degraded: yes] on stderr when a ladder rung or injected fault
+    fired, the report to [report] and the BLIF to [blif] when those
+    paths are given and the result carries them. [Failed]:
+    [job failed: <cause>] on stderr, then exit 1. [Cancelled]:
+    [job cancelled] on stderr, then exit 3. *)
+val print_result : ?report:string -> ?blif:string -> Msg.result -> unit
 
 (** {1 Small helpers} *)
 

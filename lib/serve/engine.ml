@@ -1,8 +1,8 @@
 (* Job engine. See engine.mli for the model; the short version: one
    executor domain drains a bounded FIFO under a mutex, every job runs
-   the exact cold-CLI operation sequence between an Obs.reset and a
-   snapshot, and all warm state (interned circuits, the enabled Obs
-   runtime) is invisible in results by construction. *)
+   the one job sequence (execute_ex, which lookahead_opt runs cold
+   through run_cold) between an Obs.reset and a snapshot, and all warm
+   state (interned circuits) is invisible in results by construction. *)
 
 type config = { queue_capacity : int }
 
@@ -123,7 +123,7 @@ let validate (spec : Msg.submit) =
       if known_circuit n then Ok ()
       else Error ("bad_request", Printf.sprintf "unknown circuit %S" n)
     | Msg.Adder { kind; bits } ->
-      if not (List.mem kind [ "ripple"; "cla"; "select"; "skip" ]) then
+      if not (List.mem kind Run.adder_kinds) then
         Error ("bad_request", Printf.sprintf "unknown adder kind %S" kind)
       else if bits <= 0 || bits > 4096 then
         Error ("bad_request", "adder bits out of range")
@@ -184,12 +184,12 @@ let journal_admitted (spec : Msg.submit) =
            ("tool", Obs.Json.String spec.tool) ])
     ()
 
-(* The cold-CLI operation sequence, verbatim: arm injection, reset
-   observation, load, optimize, measure, snapshot, serialize. Returns a
-   finished result (state Done/Failed/Cancelled) together with the
-   job's Obs snapshot (when one was taken) and its size class. [intern]
-   is the warm state: [Some] table for executor jobs, [None] for a cold
-   run. *)
+(* The one job sequence, for executor jobs and cold runs alike: arm
+   injection, reset observation, load, optimize, measure, snapshot,
+   serialize. Returns a finished result (state Done/Failed/Cancelled)
+   together with the job's Obs snapshot (when one was taken) and its
+   size class. [intern] is the warm state: [Some] table for executor
+   jobs, [None] for a cold run. *)
 let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
     ~cancel_handle ~wait_ns =
   let t0 = Obs.Clock.now_ns () in
@@ -259,7 +259,6 @@ let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
     let options =
       {
         Lookahead.Driver.default with
-        time_limit_s = bound;
         guard_budget = guard_budget_of spec.budget;
         deadline = Some deadline;
       }
@@ -290,7 +289,9 @@ let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
       ~report:None ~snap:None
 
 let run_cold spec =
-  if spec.Msg.want_report then Obs.enable ();
+  (* Record as the executor does (Engine.start enables Obs for good):
+     the result's [degraded] bit is read from the job's counters. *)
+  Obs.enable ();
   match validate spec with
   | Error (code, msg) ->
     Obs.Journal.record ~kind:"job.rejected"

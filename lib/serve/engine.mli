@@ -94,9 +94,11 @@ val metrics : t -> string * Obs.Json.t
     unknown or evicted ids. *)
 val job_trace : t -> int -> Obs.Json.t option
 
-(** Run a job cold on the calling domain: fresh circuit build (no
-    intern), per-run [Obs.reset] — the library-call
-    image of one [bin/lookahead_opt] invocation. Used by the bench to
-    prove warm ≡ cold in-process. Must not run concurrently with a
-    started engine's jobs. *)
+(** Run a job cold on the calling domain: {!submit}'s validation,
+    then the executor's job sequence with a fresh circuit build (no
+    intern) and a per-run [Obs.reset]. It enables [Obs] recording, as
+    {!start} does, so the result's [degraded] bit comes from the job's
+    own counters. [lookahead_opt opt] is one call of this; the bench
+    and the tests use it to prove warm ≡ cold in-process. Must not run
+    concurrently with a started engine's jobs. *)
 val run_cold : Msg.submit -> Msg.result

@@ -1,12 +1,19 @@
 (* See run.mli. *)
 
+let adders =
+  [
+    ("ripple", Circuits.Adders.ripple_carry);
+    ("cla", Circuits.Adders.carry_lookahead);
+    ("select", fun n -> Circuits.Adders.carry_select n);
+    ("skip", fun n -> Circuits.Adders.carry_skip n);
+  ]
+
+let adder_kinds = List.map fst adders
+
 let build_adder kind n =
-  match kind with
-  | "ripple" -> Circuits.Adders.ripple_carry n
-  | "cla" -> Circuits.Adders.carry_lookahead n
-  | "select" -> Circuits.Adders.carry_select n
-  | "skip" -> Circuits.Adders.carry_skip n
-  | k -> invalid_arg (Printf.sprintf "unknown adder kind %s" k)
+  match List.assoc_opt kind adders with
+  | Some build -> build n
+  | None -> invalid_arg (Printf.sprintf "unknown adder kind %s" kind)
 
 let build_source = function
   | Msg.Named name -> Circuits.Suite.build name
@@ -52,16 +59,10 @@ let tool ~options spec =
   | "egraph" ->
     let cost = cost () in
     fun g ->
-      let deadline =
-        match options.Lookahead.Driver.deadline with
-        | Some d -> d
-        | None ->
-          if options.Lookahead.Driver.time_limit_s < infinity then
-            Guard.Deadline.after options.Lookahead.Driver.time_limit_s
-          else Guard.Deadline.never
-      in
       let guard =
-        Guard.create ~deadline options.Lookahead.Driver.guard_budget
+        Guard.create
+          ~deadline:(Lookahead.Driver.deadline_of options)
+          options.Lookahead.Driver.guard_budget
       in
       Egraph.optimize ~guard ~cost g
   | "portfolio" ->

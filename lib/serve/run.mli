@@ -1,11 +1,16 @@
-(** Shared job-execution helpers: the exact operation sequence of a
-    one-shot [bin/lookahead_opt] run, as library calls, so the warm
-    server and the cold CLI cannot drift apart. Byte-identity between
-    the two rests on both sides calling these. *)
+(** The steps of one job as library calls: build the circuit, run the
+    [-t] tool, measure, serialize. One sequence calls them, the
+    engine's, for a served job and for a [lookahead_opt opt] run alike
+    ({!Engine.run_cold}); byte-identity between the two follows from
+    there being one sequence. *)
 
 (** Build the circuit of a wire source. Raises on unknown names, bad
     adder kinds, or unparsable BLIF/BENCH text. *)
 val build_source : Msg.source -> Aig.t
+
+(** The generated adder kinds ([ripple], [cla], ...), in the order
+    {!build_source} knows them. *)
+val adder_kinds : string list
 
 (** The optimizer dispatch of the CLI's [-t] flag. [options] is used by
     the lookahead, egraph and portfolio tools (its budget/deadline
@@ -26,8 +31,8 @@ val split_tool : string -> string * string option
     [List.mem … known_tools], is what {!Engine.validate} consults. *)
 val tool_known : string -> bool
 
-(** Measure the Table-2 metric set — same calls, same order, as the
-    CLI's report printer. *)
+(** Measure the Table-2 metric set of the optimized circuit against
+    the original. *)
 val metrics : original:Aig.t -> Aig.t -> Msg.metrics
 
 (** Pretty-print in the CLI's report format. *)

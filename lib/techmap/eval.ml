@@ -17,7 +17,6 @@ let measure g =
   }
 
 let and2 = Library.find "AND2"
-let inv = Library.inverter
 
 (* Intrinsic plus a fanout-of-one load of the cell's own input cap:
    the logical-effort delay of a gate driving one copy of itself. *)
@@ -30,8 +29,5 @@ let pin_power (c : Library.cell) =
   *. Library.clock_hz *. 1e3
 
 let and_area = and2.Library.area
-let inv_area = inv.Library.area
 let and_delay_ps = fo1_delay and2
-let inv_delay_ps = fo1_delay inv
 let and_power_mw = pin_power and2
-let inv_power_mw = pin_power inv

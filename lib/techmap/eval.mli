@@ -3,7 +3,7 @@
     The Table-2 reporting path ([Serve.Run.metrics]) and the e-graph's
     cost-generic extraction both need "map once, read the mapped
     numbers"; {!measure} is that sequence as one call, so the two
-    cannot drift. The [and_*]/[inv_*] weights are per-node proxies for
+    cannot drift. The [and_*] weights are per-node proxies for
     bottom-up extraction costs, derived from the {!Library} cells: they
     only have to rank candidate terms, the authoritative number is
     always {!measure} of the extracted circuit. *)
@@ -17,19 +17,16 @@ type summary = {
 
 (** Map the AIG once ({!Mapper.map}) and read cell count, area, delay
     and dynamic power off the netlist — the exact calls, in the exact
-    order, of the CLI's metric report. *)
+    order, of the job's metric report ([Serve.Run.metrics]). *)
 val measure : Aig.t -> summary
 
 (** {1 Node-local weights}
 
-    AND2 / INV cell constants for per-node extraction costs: [area] is
+    AND2 cell constants for per-node extraction costs: [area] is
     the cell area, [delay_ps] the intrinsic plus one fanout-of-one
     load, [power_mw] the dynamic power of the cell's input pins
     switching every cycle at the library clock. *)
 
 val and_area : float
-val inv_area : float
 val and_delay_ps : float
-val inv_delay_ps : float
 val and_power_mw : float
-val inv_power_mw : float

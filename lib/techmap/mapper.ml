@@ -196,15 +196,18 @@ let loads n =
   List.iter (fun (_, s) -> add s 2.0) n.primary_outputs;
   load
 
-let delay n =
-  let load = loads n in
+let arrival_of arrival s =
+  try Hashtbl.find arrival (s.node, s.inverted) with Not_found -> 0.0
+
+(* Forward pass in topological order. The sum is associated as
+   (worst + intrinsic) + load term; every reported delay uses it. *)
+let arrivals ~load n =
   let arrival = Hashtbl.create 256 in
-  let get s =
-    try Hashtbl.find arrival (s.node, s.inverted) with Not_found -> 0.0
-  in
   List.iter
     (fun (g : gate) ->
-      let worst = Array.fold_left (fun acc s -> max acc (get s)) 0.0 g.fanins in
+      let worst =
+        Array.fold_left (fun acc s -> max acc (arrival_of arrival s)) 0.0 g.fanins
+      in
       let l =
         try Hashtbl.find load (g.out.node, g.out.inverted) with Not_found -> 0.0
       in
@@ -213,7 +216,13 @@ let delay n =
       in
       Hashtbl.replace arrival (g.out.node, g.out.inverted) a)
     n.gates;
-  List.fold_left (fun acc (_, s) -> max acc (get s)) 0.0 n.primary_outputs
+  arrival
+
+let delay n =
+  let arrival = arrivals ~load:(loads n) n in
+  List.fold_left
+    (fun acc (_, s) -> max acc (arrival_of arrival s))
+    0.0 n.primary_outputs
 
 let check ?(rounds = 16) n =
   let g = n.source in

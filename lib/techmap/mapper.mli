@@ -33,8 +33,18 @@ val num_gates : netlist -> int
 (** Total cell area (INV = 1). *)
 val area : netlist -> float
 
+(** Load on each produced signal, keyed by [(node, inverted)]: the
+    input capacitance of every pin it drives, plus 2 fF per output. *)
+val loads : netlist -> (int * bool, float) Hashtbl.t
+
+(** Arrival time in ps of every gate output, keyed like {!loads}:
+    latest fanin arrival + intrinsic + load factor × [load]. *)
+val arrivals :
+  load:(int * bool, float) Hashtbl.t -> netlist -> (int * bool, float) Hashtbl.t
+
 (** Critical-path delay in ps under the load model, with 2 fF of load on
-    every primary output. *)
+    every primary output: the latest of {!arrivals} over the primary
+    outputs. *)
 val delay : netlist -> float
 
 (** [check netlist] verifies the mapped netlist against its source AIG by

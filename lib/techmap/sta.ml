@@ -6,34 +6,14 @@ type report = {
 
 let key (s : Mapper.signal) = (s.Mapper.node, s.Mapper.inverted)
 
-let loads n =
-  let load = Hashtbl.create 256 in
-  let add s c =
-    let prev = try Hashtbl.find load (key s) with Not_found -> 0.0 in
-    Hashtbl.replace load (key s) (prev +. c)
-  in
-  List.iter
-    (fun (g : Mapper.gate) ->
-      Array.iter (fun s -> add s g.Mapper.cell.Library.input_cap) g.Mapper.fanins)
-    n.Mapper.gates;
-  List.iter (fun (_, s) -> add s 2.0) n.Mapper.primary_outputs;
-  load
-
 let gate_delay load (g : Mapper.gate) =
   let l = try Hashtbl.find load (key g.Mapper.out) with Not_found -> 0.0 in
   g.Mapper.cell.Library.intrinsic +. (g.Mapper.cell.Library.load_factor *. l)
 
 let analyze n =
-  let load = loads n in
-  let arrival = Hashtbl.create 256 in
+  let load = Mapper.loads n in
+  let arrival = Mapper.arrivals ~load n in
   let get_arrival s = try Hashtbl.find arrival (key s) with Not_found -> 0.0 in
-  List.iter
-    (fun (g : Mapper.gate) ->
-      let worst =
-        Array.fold_left (fun acc s -> max acc (get_arrival s)) 0.0 g.Mapper.fanins
-      in
-      Hashtbl.replace arrival (key g.Mapper.out) (worst +. gate_delay load g))
-    n.Mapper.gates;
   let delay =
     List.fold_left
       (fun acc (_, s) -> max acc (get_arrival s))
@@ -66,7 +46,6 @@ let analyze n =
   { delay; arrival; slack }
 
 let critical_path n r =
-  let load = loads n in
   let producer = Hashtbl.create 256 in
   List.iter
     (fun (g : Mapper.gate) -> Hashtbl.replace producer (key g.Mapper.out) g)
@@ -81,7 +60,6 @@ let critical_path n r =
         | _ -> Some s)
       None n.Mapper.primary_outputs
   in
-  ignore load;
   match start with
   | None -> []
   | Some s ->

@@ -35,23 +35,6 @@ let test_map_order () =
           (Par.map_list ~pool f xs)
       done)
 
-let test_map_reduce_order () =
-  (* Floating-point addition is non-associative, so getting the exact
-     same sum as the sequential fold means the reduction really runs in
-     submission order. *)
-  let xs = List.init 500 (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let seq = List.fold_left ( +. ) 0.0 xs in
-  with_pool 3 (fun pool ->
-      let par =
-        Par.map_reduce ~pool
-          ~init:(fun () -> ())
-          ~f:(fun () x ->
-            ignore (spin (int_of_float (x *. 1e6)));
-            x)
-          ~combine:( +. ) 0.0 xs
-      in
-      Alcotest.(check (float 0.0)) "bit-equal float sum" seq par)
-
 let test_map_merge_order () =
   (* merge must run on the calling domain in submission order; building
      a list and a non-associative float sum detects any reordering. *)
@@ -224,8 +207,6 @@ let () =
           Alcotest.test_case "map submission order" `Quick test_map_order;
           Alcotest.test_case "map_merge merge order" `Quick
             test_map_merge_order;
-          Alcotest.test_case "map_reduce fold order" `Quick
-            test_map_reduce_order;
           prop_map_matches_sequential;
         ] );
       ( "exceptions",

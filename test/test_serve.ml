@@ -584,6 +584,20 @@ let test_engine_faulted_warm_identity () =
     "faulted Det subtree identical warm vs cold" true
     (Obs.Json.equal (det r1) (det cold_f))
 
+(* [lookahead_opt opt] runs its job through run_cold with observation
+   off unless an obs flag asked for it; the result's degraded bit must
+   still come from the job's own counters. *)
+let test_run_cold_records () =
+  quiesce ();
+  let r =
+    Engine.run_cold
+      { small_job with Msg.inject = Some "bdd@500:r"; want_report = false }
+  in
+  quiesce ();
+  Alcotest.(check bool) "cold faulted job completes" true
+    (r.Msg.state = Msg.Done);
+  Alcotest.(check bool) "degraded without an obs flag" true r.Msg.degraded
+
 (* An inline BLIF whose two gates feed each other is parsed on the
    executor; the job must fail with the reader's loop message, not a
    stack overflow. *)
@@ -1048,6 +1062,30 @@ let test_server_disconnect_cancels () =
       Serve.Client.close b)
 
 (* ------------------------------------------------------------------ *)
+(* The CLI's source flags                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Both job front ends resolve [-c]/[--blif]/[--bench]/[--adder] to the
+   wire form: a file is read and inlined under its basename. *)
+let test_cli_resolve_source () =
+  let resolve = Serve.Cli.resolve_source in
+  let path = Filename.temp_file "resolve" ".blif" in
+  let text = ".model m\n.inputs a\n.outputs z\n.names a z\n1 1\n.end\n" in
+  Serve.Cli.write_file path text;
+  let blif = resolve None (Some path) None None in
+  Sys.remove path;
+  Alcotest.(check bool) "--blif inlined under its basename" true
+    (blif = Msg.Blif { name = Filename.basename path; text });
+  Alcotest.(check bool) "--adder" true
+    (resolve None None None (Some ("cla", 8))
+    = Msg.Adder { kind = "cla"; bits = 8 });
+  Alcotest.(check bool) "no flag falls back to ripple:8" true
+    (resolve None None None None = Msg.Adder { kind = "ripple"; bits = 8 });
+  Alcotest.check_raises "two sources"
+    (Invalid_argument "choose exactly one circuit source") (fun () ->
+      ignore (resolve (Some "C432") None None (Some ("cla", 8))))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Random.self_init ();
@@ -1095,6 +1133,7 @@ let () =
             test_engine_faulted_warm_identity;
           Alcotest.test_case "combinational loop fails" `Quick
             test_engine_loop_job;
+          Alcotest.test_case "cold run records" `Quick test_run_cold_records;
         ] );
       ( "telemetry",
         [
@@ -1103,6 +1142,10 @@ let () =
           Alcotest.test_case "golden exposition" `Quick
             test_telemetry_exposition_golden;
           Alcotest.test_case "trace propagation" `Slow test_trace_propagation;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "resolve source" `Quick test_cli_resolve_source;
         ] );
       ( "server",
         [

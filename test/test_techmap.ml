@@ -101,22 +101,40 @@ let test_delay_monotone_in_depth () =
 
 (* --- mapped STA ----------------------------------------------------------- *)
 
+(* Exact float equality, printed in full so a last-bit difference
+   shows. *)
+let exact = Alcotest.testable (fun ppf -> Format.fprintf ppf "%.17g") Float.equal
+
+(* STA reads the mapper's arrival pass, so its critical-path delay is
+   the very float every table reports. A separate pass with another
+   association of the same sum differed in the last bits on each cell
+   after ripple8. *)
 let test_sta_consistent_with_delay () =
-  let g = Circuits.Adders.ripple_carry 8 in
-  let n = Techmap.Mapper.map g in
-  let r = Techmap.Sta.analyze n in
-  Alcotest.(check (float 1e-6)) "sta delay = mapper delay"
-    (Techmap.Mapper.delay n) r.Techmap.Sta.delay;
-  let path = Techmap.Sta.critical_path n r in
-  Alcotest.(check bool) "path nonempty" true (path <> []);
-  (* Slack on the critical path's endpoint is ~0. *)
-  let last = List.nth path (List.length path - 1) in
-  let s =
-    Hashtbl.find r.Techmap.Sta.slack
-      (last.Techmap.Mapper.out.Techmap.Mapper.node,
-       last.Techmap.Mapper.out.Techmap.Mapper.inverted)
-  in
-  Alcotest.(check bool) "endpoint slack zero" true (abs_float s < 1e-6)
+  List.iter
+    (fun (name, g) ->
+      let n = Techmap.Mapper.map g in
+      let r = Techmap.Sta.analyze n in
+      Alcotest.check exact
+        ("sta delay = mapper delay, " ^ name)
+        (Techmap.Mapper.delay n) r.Techmap.Sta.delay;
+      let path = Techmap.Sta.critical_path n r in
+      Alcotest.(check bool) "path nonempty" true (path <> []);
+      (* Slack on the critical path's endpoint is ~0. *)
+      let last = List.nth path (List.length path - 1) in
+      let s =
+        Hashtbl.find r.Techmap.Sta.slack
+          (last.Techmap.Mapper.out.Techmap.Mapper.node,
+           last.Techmap.Mapper.out.Techmap.Mapper.inverted)
+      in
+      Alcotest.(check bool) "endpoint slack zero" true (abs_float s < 1e-6))
+    [
+      ("ripple8", Circuits.Adders.ripple_carry 8);
+      ("C880 dc", Baselines.dc_like (Circuits.Suite.build "C880"));
+      ( "sparc_exu_ecl_flat dc",
+        Baselines.dc_like (Circuits.Suite.build "sparc_exu_ecl_flat") );
+      ("lsu_excpctl_flat", Circuits.Suite.build "lsu_excpctl_flat");
+      ("sparc_tlu_intctl_flat", Circuits.Suite.build "sparc_tlu_intctl_flat");
+    ]
 
 let test_sta_nonnegative_slack () =
   let g = Circuits.Suite.build "C432" in
