@@ -10,7 +10,10 @@
 # portfolio job as its very first job. Last, the one-shot
 # `lookahead_opt opt`, which runs the same job path cold, must fail the
 # loop BLIF the same typed way (exit 1, `job failed:`), report an
-# injected fault as `degraded: yes`, and pass `--check`.
+# injected fault as `degraded: yes`, and pass `--check`; and bad
+# front-end input (two circuit sources on `opt` or `submit`, an
+# unknown circuit or tool on `timing`) must end in a typed error, never
+# in an uncaught exception.
 #
 # This is the cheap always-on CI check; the full warm-vs-cold identity
 # and telemetry gates live in check_regression.sh (gates 7 and 9), and
@@ -40,6 +43,23 @@ if [ ! -S "$sock" ]; then
 fi
 
 fail=0
+
+# expect_exit CODE PATTERN NAME CMD...: CMD must exit CODE, print
+# PATTERN on stderr, and raise no uncaught exception.
+expect_exit() {
+  want=$1 pattern=$2 name=$3
+  shift 3
+  rc=0
+  "$@" >"$out/$name.out" 2>"$out/$name.err" || rc=$?
+  if [ "$rc" != "$want" ]; then
+    echo "smoke_serve: FAIL — $name exited $rc, not $want" >&2; fail=1
+  fi
+  grep -q -e "$pattern" "$out/$name.err" || {
+    echo "smoke_serve: FAIL — $name did not print \"$pattern\"" >&2; fail=1; }
+  if grep -q "uncaught exception" "$out/$name.err"; then
+    echo "smoke_serve: FAIL — $name raised an uncaught exception" >&2; fail=1
+  fi
+}
 
 # Clean job: must print the Table 2 metrics block and nothing on stderr
 # about degradation.
@@ -97,6 +117,10 @@ dune exec bench/main.exe -- check-exposition "$out/metrics.prom" \
 grep -q 'lookahead_jobs_total{state="done"} 2' "$out/metrics.prom" || {
   echo "smoke_serve: FAIL — exposition does not count 2 completed jobs" >&2
   fail=1; }
+if grep -q "lookahead_rejected_total" "$out/metrics.prom"; then
+  echo "smoke_serve: FAIL — exposition still exports lookahead_rejected_total" >&2
+  fail=1
+fi
 dune exec bin/lookahead_serve.exe -- metrics -s "$sock" --json \
   2>/dev/null | grep -q '"schema": *"lookahead-metrics/1"' || {
   echo "smoke_serve: FAIL — metrics JSON mirror missing schema" >&2
@@ -123,13 +147,9 @@ grep -q "breaches" "$out/top.out" || {
 # server must still complete a clean job afterwards.
 printf '.model loop\n.inputs a\n.outputs z\n.names a z y\n11 1\n.names y a z\n11 1\n.end\n' \
   >"$out/loop.blif"
-if dune exec bin/lookahead_serve.exe -- submit -s "$sock" \
-     --blif "$out/loop.blif" --tool none \
-     >"$out/loop.out" 2>"$out/loop.err"; then
-  echo "smoke_serve: FAIL — loop job exited zero" >&2; fail=1
-fi
-grep -q "combinational loop" "$out/loop.err" || {
-  echo "smoke_serve: FAIL — loop job did not report the loop" >&2; fail=1; }
+expect_exit 1 "^job failed:.*combinational loop" loop \
+  dune exec bin/lookahead_serve.exe -- submit -s "$sock" \
+  --blif "$out/loop.blif" --tool none
 dune exec bin/lookahead_serve.exe -- submit -s "$sock" --adder cla:8 \
   --time-limit 0 >"$out/after.out" 2>/dev/null || {
   echo "smoke_serve: FAIL — clean job after the loop job failed" >&2
@@ -184,15 +204,8 @@ fi
 # The one-shot CLI: the loop BLIF is a failed job, not an uncaught
 # exception; an injected fault degrades the job with no obs flag given;
 # --check proves the emitted BLIF against the input.
-rc=0
-dune exec bin/lookahead_opt.exe -- opt --blif "$out/loop.blif" -t none \
-  >"$out/cli_loop.out" 2>"$out/cli_loop.err" || rc=$?
-if [ "$rc" != 1 ]; then
-  echo "smoke_serve: FAIL — CLI loop job exited $rc, not 1" >&2; fail=1
-fi
-grep -q "^job failed:.*combinational loop" "$out/cli_loop.err" || {
-  echo "smoke_serve: FAIL — CLI loop job did not report a failed job with the loop" >&2
-  fail=1; }
+expect_exit 1 "^job failed:.*combinational loop" cli_loop \
+  dune exec bin/lookahead_opt.exe -- opt --blif "$out/loop.blif" -t none
 dune exec bin/lookahead_opt.exe -- opt --adder cla:8 --time-limit 0 \
   --inject 'bdd@500:r' >"$out/cli_faulted.out" 2>"$out/cli_faulted.err" || {
   echo "smoke_serve: FAIL — CLI faulted job did not complete" >&2; fail=1; }
@@ -205,6 +218,20 @@ dune exec bin/lookahead_opt.exe -- opt --adder ripple:4 --time-limit 0 \
 grep -q "^equivalence: PASS" "$out/cli_check.out" || {
   echo "smoke_serve: FAIL — CLI --check did not print equivalence: PASS" >&2
   fail=1; }
+
+# Bad front-end input is a typed error: two circuit sources are a usage
+# error (exit 2) before any job or connection, an unknown circuit on
+# `timing` a failed job (exit 1), an unknown tool a usage error.
+two_sources="choose at most one of --circuit, --blif, --bench and --adder"
+expect_exit 2 "^lookahead_opt: $two_sources" cli_two_sources \
+  dune exec bin/lookahead_opt.exe -- opt -c C432 --adder cla:8 -t none
+expect_exit 2 "^lookahead_serve: $two_sources" submit_two_sources \
+  dune exec bin/lookahead_serve.exe -- submit -s "$sock" -c C432 \
+  --adder cla:8 -t none
+expect_exit 1 '^job failed: bad_request: unknown circuit "nosuch"' \
+  timing_nosuch dune exec bin/lookahead_opt.exe -- timing -c nosuch
+expect_exit 2 '^lookahead_opt: unknown tool "foo"' timing_bad_tool \
+  dune exec bin/lookahead_opt.exe -- timing -t foo
 
 if [ "$fail" = 0 ]; then
   echo "smoke_serve: OK"

@@ -11,6 +11,8 @@ module Cli = Serve.Cli
 module Msg = Serve.Msg
 module Run = Serve.Run
 
+let prog = "lookahead_opt"
+
 let opt_cmd =
   let check =
     Arg.(value & flag & info [ "check" ]
@@ -24,8 +26,12 @@ let opt_cmd =
        the run-wide exports. *)
     let obs = { Cli.stats; report; trace; journal } in
     Cli.setup_obs obs;
-    let tool = Cli.resolve_tool ~prog:"lookahead_opt" ~portfolio ~cost tool in
-    let source = Cli.resolve_source circuit blif bench adder in
+    let tool = Cli.resolve_tool ~prog ~portfolio ~cost tool in
+    let source =
+      match Cli.resolve_source circuit blif bench adder with
+      | Ok source -> source
+      | Error msg -> Cli.usage_error ~prog msg
+    in
     let r =
       Serve.Engine.run_cold
         {
@@ -65,6 +71,15 @@ let timing_cmd =
   let run circuit tool jobs stats report_file trace =
     Cli.setup_logs false;
     Cli.setup_jobs jobs;
+    let tool = Cli.resolve_tool ~prog ~portfolio:false ~cost:None tool in
+    (match
+       Serve.Engine.validate
+         (Msg.submit_defaults ~source:(Msg.Named circuit) ~tool)
+     with
+    | Ok _ -> ()
+    | Error (code, msg) ->
+      Fmt.epr "job failed: %s: %s@." code msg;
+      exit 1);
     let obs = { Cli.stats; report = report_file; trace; journal = None } in
     Cli.setup_obs obs;
     let g = Circuits.Suite.build circuit in
@@ -123,7 +138,7 @@ let list_cmd =
 
 let () =
   let info =
-    Cmd.info "lookahead_opt" ~version:"1.0.0"
+    Cmd.info prog ~version:"1.0.0"
       ~doc:
         "Timing-driven optimization using lookahead logic circuits (DAC'09 \
          reproduction)."

@@ -124,23 +124,21 @@ let submit_cmd =
             "Tenant cumulative SAT conflict budget across all of the job's \
              queries (0 = unlimited).")
   in
-  let deadline =
-    Arg.(
-      value & opt float 0.0
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Tenant wall-clock budget for the job (0 = unbounded).")
-  in
   let progress =
     Arg.(
       value & flag
       & info [ "progress" ] ~doc:"Stream phase-completion events to stderr.")
   in
   let run socket tcp circuit blif bench adder tool portfolio cost nodes sat
-      sat_total deadline inject time_limit progress out_blif report_file
-      verbose =
+      sat_total inject time_limit progress out_blif report_file verbose =
     Cli.setup_logs verbose;
-    let tool = Cli.resolve_tool ~prog:"lookahead_serve" ~portfolio ~cost tool in
-    let source = Cli.resolve_source circuit blif bench adder in
+    let prog = "lookahead_serve" in
+    let tool = Cli.resolve_tool ~prog ~portfolio ~cost tool in
+    let source =
+      match Cli.resolve_source circuit blif bench adder with
+      | Ok source -> source
+      | Error msg -> Cli.usage_error ~prog msg
+    in
     let spec =
       {
         (Msg.submit_defaults ~source ~tool) with
@@ -149,7 +147,6 @@ let submit_cmd =
             Msg.bdd_node_ceiling = nodes;
             sat_conflict_ceiling = sat;
             sat_conflict_budget = sat_total;
-            deadline_s = deadline;
           };
         inject;
         time_limit_s = time_limit;
@@ -174,9 +171,9 @@ let submit_cmd =
     Term.(
       const run $ socket_arg $ tcp_arg $ Cli.circuit_term $ Cli.blif_term
       $ Cli.bench_term $ Cli.adder_term $ Cli.tool_term $ Cli.portfolio_term
-      $ Cli.cost_term $ nodes $ sat $ sat_total $ deadline
-      $ Cli.inject_term $ Cli.time_limit_term $ progress $ Cli.output_term
-      $ Cli.report_term $ Cli.verbose_term)
+      $ Cli.cost_term $ nodes $ sat $ sat_total $ Cli.inject_term
+      $ Cli.time_limit_term $ progress $ Cli.output_term $ Cli.report_term
+      $ Cli.verbose_term)
 
 let id_arg =
   Arg.(required & pos 0 (some int) None & info [] ~docv:"ID" ~doc:"Job id.")

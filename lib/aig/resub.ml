@@ -29,7 +29,10 @@ let build_shape g s a b =
   let v = if s.xor then Graph.bxor g a b else Graph.band g a b in
   if s.sout then Graph.bnot v else v
 
-let run ?(rounds = 8) ?(max_checks = 600) g =
+let rounds = 8
+let max_checks = 600
+
+let run g =
   let nn = Graph.num_nodes g in
   let ni = Graph.num_inputs g in
   if ni = 0 || nn < 4 then Graph.cleanup g

@@ -7,7 +7,6 @@
     delay-oriented cleanup that complements cut rewriting (it can jump
     across cut boundaries). *)
 
-(** [run ?rounds ?max_checks g] returns an equivalent graph.
-    [rounds] controls the signature width (64-bit words);
-    [max_checks] bounds the number of SAT calls. *)
-val run : ?rounds:int -> ?max_checks:int -> Graph.t -> Graph.t
+(** [run g] returns an equivalent graph. Signatures are eight 64-bit
+    simulation words wide, and at most 600 SAT calls are made. *)
+val run : Graph.t -> Graph.t

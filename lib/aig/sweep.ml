@@ -4,7 +4,10 @@ let m_pairs = Obs.counter "sweep.candidate_pairs"
 let m_sat_calls = Obs.counter "sweep.sat_calls"
 let m_merges = Obs.counter "sweep.merges"
 
-let sat_sweep ?(guard = Guard.none) ?(rounds = 8) ?(max_pairs = 2000) g =
+let rounds = 8
+let max_pairs = 2000
+
+let sat_sweep ?(guard = Guard.none) g =
   let nn = Graph.num_nodes g in
   let ni = Graph.num_inputs g in
   if ni = 0 then Graph.cleanup g

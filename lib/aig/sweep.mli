@@ -8,10 +8,9 @@
 (** Structural cleanup ({!Graph.cleanup}). *)
 val cleanup : Graph.t -> Graph.t
 
-(** [sat_sweep ?guard ?rounds ?max_pairs g] merges proven-equivalent
-    nodes. [rounds] is the number of 64-bit random simulation rounds
-    used to partition candidates; [max_pairs] bounds SAT effort.
-    [guard] (default {!Guard.none}) governs the per-pair proof queries:
-    an exhausted or injected budget skips the merge (always sound). *)
-val sat_sweep :
-  ?guard:Guard.t -> ?rounds:int -> ?max_pairs:int -> Graph.t -> Graph.t
+(** [sat_sweep ?guard g] merges proven-equivalent nodes. Eight 64-bit
+    random simulation rounds partition the candidates, and at most
+    2000 candidate pairs are SAT-checked. [guard] (default
+    {!Guard.none}) governs the per-pair proof queries: an exhausted or
+    injected budget skips the merge (always sound). *)
+val sat_sweep : ?guard:Guard.t -> Graph.t -> Graph.t

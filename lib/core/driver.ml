@@ -3,11 +3,8 @@ type options = {
   max_rounds : int;
   max_decomp_levels : int;
   spcf_max_nodes : int;
-  max_cone_inputs : int;
-  bdd_node_limit : int;
   time_limit_s : float;
   use_exact_spcf : bool;
-  balance_first : bool;
   guard_budget : Guard.Budget.t;
   deadline : Guard.Deadline.t option;
 }
@@ -18,14 +15,18 @@ let default =
     max_rounds = 12;
     max_decomp_levels = 24;
     spcf_max_nodes = 24;
-    max_cone_inputs = 64;
-    bdd_node_limit = 12_000_000;
     time_limit_s = 90.0;
     use_exact_spcf = false;
-    balance_first = true;
     guard_budget = Guard.Budget.default;
     deadline = None;
   }
+
+(* Outputs whose cone has a larger input support are not decomposed. *)
+let max_cone_inputs = 64
+
+(* Stop peeling an output once its BDD manager holds this many live
+   nodes: a soft limit, far below Guard's hard node ceiling. *)
+let bdd_node_limit = 12_000_000
 
 let deadline_of options =
   match options.deadline with
@@ -155,8 +156,7 @@ let decompose_output opts ~guard ~member man g out_index (o : Network.output)
        abandon the whole output (the caller falls back to the pre-edit
        cone), never hand a partially rewired residue to [merge]. *)
     Guard.check_deadline guard ~site:"driver.decompose";
-    if depth_left = 0 || (Bdd.stats man).Bdd.live_nodes > opts.bdd_node_limit
-    then
+    if depth_left = 0 || (Bdd.stats man).Bdd.live_nodes > bdd_node_limit then
       (List.rev acc, net)
     else begin
       let levels = Network.Analysis.levels analysis in
@@ -323,12 +323,12 @@ let one_round opts ~deadline g =
       else if Network.is_input wnet o.Network.node then None
       else if
         Network.Analysis.support_count wanalysis o.Network.node
-        > opts.max_cone_inputs
+        > max_cone_inputs
       then begin
         Obs.incr m_skip_support;
         Log.debug (fun m ->
             m "skip %s: cone support exceeds %d" o.Network.name
-              opts.max_cone_inputs);
+              max_cone_inputs);
         None
       end
       else if Guard.Deadline.expired deadline then begin
@@ -538,7 +538,7 @@ let polish g = Obs.with_span sp_polish (fun () -> Aig.Rewrite.delay_fixpoint g)
 let balance g = Obs.with_span sp_balance (fun () -> Aig.Balance.run g)
 
 let optimize_with_stats ?(options = default) g0 =
-  let g = if options.balance_first then balance g0 else g0 in
+  let g = balance g0 in
   let initial_depth = Aig.depth g0 in
   (* One monotonic deadline shared by the whole run — every worker of
      every round checks the same absolute instant, so the time budget

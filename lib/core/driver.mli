@@ -15,17 +15,12 @@ type options = {
   max_decomp_levels : int;
       (** recursion depth of the per-output peeling (Σ1…Σl of Eqn. 2) *)
   spcf_max_nodes : int;  (** late nodes unioned into the SPCF *)
-  max_cone_inputs : int;  (** skip outputs with larger input support *)
-  bdd_node_limit : int;
-      (** stop peeling an output once its BDD manager has allocated this
-          many nodes *)
   time_limit_s : float;
       (** wall-clock budget: once exceeded, remaining outputs and rounds
           fall back to conventional rewriting (anytime behaviour) *)
   use_exact_spcf : bool;
       (** use the exact floating-mode SPCF when the circuit is small
           enough (otherwise the node-based approximation) *)
-  balance_first : bool;  (** run {!Aig.Balance} before decomposing *)
   guard_budget : Guard.Budget.t;
       (** hard resource ceilings for every governed substrate. One
           {!Guard} context is created per decomposition job (shared

@@ -75,9 +75,9 @@ module Budget : sig
     bdd_node_ceiling : int;
         (** Hard ceiling on total allocated nodes of a guarded BDD
             manager; crossing it raises {!Blowup}[ Bdd_nodes]. [<= 0]
-            means unlimited. Distinct from the driver's soft
-            [bdd_node_limit], which stops decomposition gracefully
-            long before this fires. *)
+            means unlimited. Distinct from the driver's soft live-node
+            limit (12 M), which stops decomposition gracefully long
+            before this fires. *)
     sat_conflict_ceiling : int;
         (** Caps the [conflict_limit] of every guarded
             [Sat.Solver.solve_limited] call. [<= 0] means the caller's

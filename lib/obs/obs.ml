@@ -28,11 +28,72 @@ type metric = {
   m_base : int;
 }
 
-(* Histogram layout: 64 power-of-two buckets, then count, then sum. *)
-let hist_buckets = 64
-let hist_slots = hist_buckets + 2
+(* The one histogram layout: 64 power-of-two buckets, then count, then
+   sum. An [Obs.histogram] is such a range inside a sink's slots
+   ([observe_at] takes its base), a [Hist.t] is a standalone array. *)
+module Hist = struct
+  type t = int array
 
-type span = { s_name : string; s_dur : int; s_cnt : int }
+  let buckets = 64
+  let slots = buckets + 2
+
+  (* Number of binary digits of [v]: bucket 0 holds v <= 0 (and 1 holds
+     exactly 1, 2 holds 2..3, ...), capped at the last bucket. *)
+  let bucket_of v =
+    if v <= 0 then 0
+    else begin
+      let b = ref 0 and x = ref v in
+      while !x > 0 do
+        b := !b + 1;
+        x := !x lsr 1
+      done;
+      min !b (buckets - 1)
+    end
+
+  (* 2^62 - 1 = max_int: no int reaches bucket 63. *)
+  let upper b = if b >= 62 then max_int else (1 lsl b) - 1
+
+  let observe_at a base v =
+    let i = base + bucket_of v in
+    a.(i) <- a.(i) + 1;
+    a.(base + buckets) <- a.(base + buckets) + 1;
+    a.(base + buckets + 1) <- a.(base + buckets + 1) + v
+
+  let create () = Array.make slots 0
+  let observe h v = observe_at h 0 v
+  let bucket h b = h.(b)
+  let count h = h.(buckets)
+  let sum h = h.(buckets + 1)
+
+  (* Linear interpolation inside the bucket holding rank [q * count],
+     between its inclusive bounds: the estimate stays in the bucket of
+     the exact order statistic, so for values >= 1 it is within a
+     factor of 2 of it. *)
+  let quantile h q =
+    if count h = 0 then 0.0
+    else begin
+      let rank = q *. float_of_int (count h) in
+      let rec go b cum =
+        let c = h.(b) in
+        if b = buckets - 1 then float_of_int (upper b)
+        else if c > 0 && float_of_int (cum + c) >= rank then begin
+          let lo = if b = 0 then 0.0 else float_of_int (upper (b - 1) + 1) in
+          let hi = float_of_int (upper b) in
+          lo +. ((hi -. lo) *. (rank -. float_of_int cum) /. float_of_int c)
+        end
+        else go (b + 1) (cum + c)
+      in
+      go 0 0
+    end
+end
+
+(* The driver's top-level phases: the spans a server streams as
+   progress and the journal records as ["phase"] events. *)
+let phases =
+  [ "opt.round"; "opt.balance"; "opt.polish"; "opt.sat_sweep";
+    "opt.final_cec" ]
+
+type span = { s_name : string; s_dur : int; s_cnt : int; s_phase : bool }
 
 type event = {
   e_name : string;
@@ -100,7 +161,7 @@ let counter ?(stability = Det) name = register_metric name Kcounter stability 1
 let gauge ?(stability = Det) name = register_metric name Kgauge stability 1
 
 let histogram ?(stability = Det) name =
-  register_metric name Khistogram stability hist_slots
+  register_metric name Khistogram stability Hist.slots
 
 let span name =
   locked (fun () ->
@@ -108,7 +169,10 @@ let span name =
       | Some s -> s
       | None ->
         let dur = alloc_slots ~max_merge:false 2 in
-        let s = { s_name = name; s_dur = dur; s_cnt = dur + 1 } in
+        let s =
+          { s_name = name; s_dur = dur; s_cnt = dur + 1;
+            s_phase = List.mem name phases }
+        in
         Hashtbl.replace spans_tbl name s;
         span_order := s :: !span_order;
         s)
@@ -155,35 +219,19 @@ let add c v = if Atomic.get on then slot_add c.m_base v
 let incr c = if Atomic.get on then slot_add c.m_base 1
 let gauge_max g v = if Atomic.get on then slot_maximize g.m_base v
 
-(* Number of binary digits of [v]: bucket 0 holds v <= 0 (and 1 holds
-   exactly 1, 2 holds 2..3, ...), capped at the last bucket. *)
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and x = ref v in
-    while !x > 0 do
-      b := !b + 1;
-      x := !x lsr 1
-    done;
-    min !b (hist_buckets - 1)
-  end
-
 let observe h v =
   if Atomic.get on then begin
     let s = current_sink () in
-    ensure_capacity s (h.m_base + hist_slots - 1);
-    let sl = s.slots in
-    sl.(h.m_base + bucket_of v) <- sl.(h.m_base + bucket_of v) + 1;
-    sl.(h.m_base + hist_buckets) <- sl.(h.m_base + hist_buckets) + 1;
-    sl.(h.m_base + hist_buckets + 1) <- sl.(h.m_base + hist_buckets + 1) + v
+    ensure_capacity s (h.m_base + Hist.slots - 1);
+    Hist.observe_at s.slots h.m_base v
   end
 
 (* Optional span listener: a server streams phase progress to clients
-   by observing span completions as they happen. Advisory and Sched by
-   nature (which domain completes which span, and when, depends on
-   scheduling) — never part of the deterministic report. One atomic
-   load when unset; the callback may run on any recording domain and
-   must be thread-safe. *)
+   by observing phase-span completions as they happen. Advisory and
+   Sched by nature (which domain completes which span, and when,
+   depends on scheduling) — never part of the deterministic report.
+   The callback may run on any recording domain and must be
+   thread-safe. *)
 let span_listener : (string -> int -> unit) option Atomic.t = Atomic.make None
 let set_span_listener f = Atomic.set span_listener f
 
@@ -196,11 +244,16 @@ let current_trace : string Atomic.t = Atomic.make ""
 let set_trace id = Atomic.set current_trace id
 let trace_id () = Atomic.get current_trace
 
-(* Forward hook into [Journal] (defined below, after [Json]): when the
-   journal is enabled with a phase set, completed spans whose name is in
-   the set are journaled. One atomic load per span when off. *)
+(* The one phase hook, fired by phase spans only: it journals the
+   ["phase"] event when journaling is on (through a forward reference
+   to [Journal], defined below after [Json]) and calls the span
+   listener when one is set. *)
 let journal_on = Atomic.make false
-let journal_phase_hook : (string -> unit) ref = ref (fun _ -> ())
+let journal_phase : (string -> unit) ref = ref (fun _ -> ())
+
+let phase_done name dur =
+  if Atomic.get journal_on then !journal_phase name;
+  match Atomic.get span_listener with None -> () | Some f -> f name dur
 
 let span_begin _s =
   if Atomic.get on then Int64.to_int (Clock.now_ns ()) else -1
@@ -220,10 +273,7 @@ let span_end sp token =
         e_dur = dur;
         e_trace = Atomic.get current_trace }
       :: s.events;
-    if Atomic.get journal_on then !journal_phase_hook sp.s_name;
-    match Atomic.get span_listener with
-    | None -> ()
-    | Some f -> f sp.s_name dur
+    if sp.s_phase then phase_done sp.s_name dur
   end
 
 let with_span sp f =
@@ -608,7 +658,6 @@ module Journal = struct
   let out_bytes = ref 0
   let out_max_bytes = ref (8 * 1024 * 1024)
   let n_rotations = ref 0
-  let phases : string list Atomic.t = Atomic.make []
 
   let locked f =
     Mutex.lock mutex;
@@ -682,15 +731,10 @@ module Journal = struct
             out_bytes := !out_bytes + len)
     end
 
-  let default_phases =
-    [ "opt.round"; "opt.balance"; "opt.polish"; "opt.sat_sweep";
-      "opt.final_cec" ]
-
-  let phase_hook name =
-    if List.mem name (Atomic.get phases) then
-      record ~kind:"phase"
-        ~det:(Json.Obj [ ("phase", Json.String name) ])
-        ()
+  let () =
+    journal_phase :=
+      fun name ->
+        record ~kind:"phase" ~det:(Json.Obj [ ("phase", Json.String name) ]) ()
 
   let clear () =
     locked (fun () ->
@@ -701,8 +745,7 @@ module Journal = struct
         d_sum := 0L;
         d_xor := 0L)
 
-  let enable ?(capacity = 4096) ?file ?(file_max_bytes = 8 * 1024 * 1024)
-      ?(journal_phases = default_phases) () =
+  let enable ?(capacity = 4096) ?file ?(file_max_bytes = 8 * 1024 * 1024) () =
     locked (fun () ->
         (match !out with Some oc -> close_out oc | None -> ());
         ring := Array.make (max 1 capacity) None;
@@ -721,8 +764,6 @@ module Journal = struct
          | Some path ->
            out_path := path;
            out := Some (open_out path)));
-    Atomic.set phases journal_phases;
-    journal_phase_hook := phase_hook;
     Atomic.set journal_on true
 
   let disable () =
@@ -799,15 +840,19 @@ let sorted_spans () =
   locked (fun () -> !span_order)
   |> List.sort (fun a b -> String.compare a.s_name b.s_name)
 
+let hist_of snap m =
+  Array.init Hist.slots (fun i -> slot_value snap (m.m_base + i))
+
 let hist_json snap m =
+  let h = hist_of snap m in
   let buckets = ref [] in
-  for b = hist_buckets - 1 downto 0 do
-    let c = slot_value snap (m.m_base + b) in
+  for b = Hist.buckets - 1 downto 0 do
+    let c = Hist.bucket h b in
     if c <> 0 then buckets := (string_of_int b, Json.Int c) :: !buckets
   done;
   Json.Obj
-    [ ("count", Json.Int (slot_value snap (m.m_base + hist_buckets)));
-      ("sum", Json.Int (slot_value snap (m.m_base + hist_buckets + 1)));
+    [ ("count", Json.Int (Hist.count h));
+      ("sum", Json.Int (Hist.sum h));
       ("buckets", Json.Obj !buckets) ]
 
 let metric_section ~stab kind to_json =
@@ -910,7 +955,7 @@ let pp_summary fmt snap =
         m.m_kind = kind && m.m_stab = stab
         &&
         match kind with
-        | Khistogram -> slot_value snap (m.m_base + hist_buckets) <> 0
+        | Khistogram -> Hist.count (hist_of snap m) <> 0
         | _ -> slot_value snap m.m_base <> 0)
       (sorted_metrics ())
   in
@@ -933,8 +978,8 @@ let pp_summary fmt snap =
     Format.fprintf fmt "  %-34s %10s %13s %10s@." "" "count" "sum" "mean";
     List.iter
       (fun m ->
-        let count = slot_value snap (m.m_base + hist_buckets) in
-        let sum = slot_value snap (m.m_base + hist_buckets + 1) in
+        let h = hist_of snap m in
+        let count = Hist.count h and sum = Hist.sum h in
         Format.fprintf fmt "  %-34s %10d %13d %10.1f@." m.m_name count sum
           (float_of_int sum /. float_of_int (max 1 count)))
       hists

@@ -75,13 +75,37 @@ type gauge
 val gauge : ?stability:stability -> string -> gauge
 val gauge_max : gauge -> int -> unit
 
-(** Power-of-two-bucket histograms: value [v] lands in bucket
-    [bits v] (0 for [v <= 0]), so bucket [b >= 1] covers
-    [2^(b-1) .. 2^b - 1]. Count and sum ride along. *)
+(** Histograms in the {!Hist} layout. *)
 type histogram
 
 val histogram : ?stability:stability -> string -> histogram
 val observe : histogram -> int -> unit
+
+(** The one histogram layout, of every {!histogram} and of standalone
+    values: [buckets] (64) power-of-two buckets, then count, then sum.
+    Value [v] lands in bucket [bucket_of v] (0 for [v <= 0]), so bucket
+    [b >= 1] covers [2^(b-1) .. upper b], [upper b = 2^b - 1]. *)
+module Hist : sig
+  type t
+
+  val buckets : int
+  val create : unit -> t
+  val observe : t -> int -> unit
+  val bucket_of : int -> int
+  val upper : int -> int
+
+  (** Observations in bucket [b]. *)
+  val bucket : t -> int -> int
+
+  val count : t -> int
+  val sum : t -> int
+
+  (** [quantile h q] interpolates linearly between the inclusive bounds
+      of the bucket holding rank [q * count h] ([0.] when empty): for
+      values [>= 1], within a factor of 2 of the exact order
+      statistic. *)
+  val quantile : t -> float -> float
+end
 
 (** {1 Spans}
 
@@ -106,12 +130,15 @@ val span_begin : span -> int
 val span_end : span -> int -> unit
 
 (** [set_span_listener (Some f)] invokes [f name duration_ns] on every
-    completed span, on the recording domain, after the span lands in
-    the domain's sink. For live progress streaming (a server forwarding
-    phase completions to a client); advisory and scheduling-dependent —
-    never part of the deterministic report, so arming or disarming it
-    cannot change a [Det] subtree. [f] must be thread-safe. Costs one
-    atomic load per span when unset. *)
+    completed phase span — the driver's top-level phases [opt.round],
+    [opt.balance], [opt.polish], [opt.sat_sweep] and [opt.final_cec],
+    the spans the {!Journal} records as ["phase"] events — on the
+    recording domain, after the span lands in the domain's sink. For
+    live progress streaming (a server forwarding phase completions to
+    a client); advisory and scheduling-dependent — never part of the
+    deterministic report, so arming or disarming it cannot change a
+    [Det] subtree. [f] must be thread-safe. Other spans never reach
+    it. *)
 val set_span_listener : (string -> int -> unit) option -> unit
 
 (** {1 Trace correlation}
@@ -226,17 +253,12 @@ module Journal : sig
   (** Start journaling. [capacity] bounds the in-memory ring (oldest
       entries are evicted); [file] appends one JSON object per line,
       rotated (renamed to [file ^ ".1"] and reopened) when it exceeds
-      [file_max_bytes]. [journal_phases] names the spans whose
-      completions are journaled as ["phase"] events (span counts are
-      deterministic for deadline-free runs; see DESIGN.md §4j). Resets
-      ring, digest and rotation state. *)
+      [file_max_bytes]. Phase-span completions (see
+      {!set_span_listener}) are journaled as ["phase"] events (span
+      counts are deterministic for deadline-free runs; see DESIGN.md
+      §4j). Resets ring, digest and rotation state. *)
   val enable :
-    ?capacity:int ->
-    ?file:string ->
-    ?file_max_bytes:int ->
-    ?journal_phases:string list ->
-    unit ->
-    unit
+    ?capacity:int -> ?file:string -> ?file_max_bytes:int -> unit -> unit
 
   (** Stop journaling and close the file sink. *)
   val disable : unit -> unit
@@ -266,9 +288,6 @@ module Journal : sig
   (** Empty the ring and zero the digest (keeps the configuration and
       file sink). For identity benches that compare runs. *)
   val clear : unit -> unit
-
-  (** The spans journaled by default: the driver's top-level phases. *)
-  val default_phases : string list
 end
 
 (** {1 Snapshots and exports}

@@ -320,7 +320,7 @@ let map_list ?pool f xs = map ?pool ~init:(fun () -> ()) ~f:(fun () x -> f x) xs
    calling domain, always in submission order — is the only reader.
    The wave bound caps how many completed-but-unmerged results are
    live at once. *)
-let map_merge ?pool ?wave ~init ~f ~merge acc xs =
+let map_merge ?pool ~init ~f ~merge acc xs =
   let pool = resolve_pool pool in
   if Pool.size pool <= 1 then begin
     (* -j 1: bypass the pool entirely (like [map]); one [init] for the
@@ -332,9 +332,7 @@ let map_merge ?pool ?wave ~init ~f ~merge acc xs =
       List.fold_left (fun acc x -> merge acc x (f ctx x)) acc xs
   end
   else begin
-    let wave =
-      match wave with Some w -> max 1 w | None -> max 1 (4 * Pool.size pool)
-    in
+    let wave = 4 * Pool.size pool in
     let rec split k = function
       | x :: tl when k > 0 ->
         let a, b = split (k - 1) tl in

@@ -94,8 +94,8 @@ val map :
 (** Stateless {!map}. *)
 val map_list : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [map_merge ~init ~f ~merge acc xs] forks jobs in waves of [wave]
-    (default [4 * pool size]) and folds [merge acc x (f ctx x)] {e in
+(** [map_merge ~init ~f ~merge acc xs] forks jobs in waves of
+    [4 * pool size] and folds [merge acc x (f ctx x)] {e in
     submission order} on the calling domain, so at most a wave of
     completed-but-unmerged results is live at once. This is the
     manager-affine submission primitive: state a job builds privately
@@ -108,7 +108,6 @@ val map_list : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
     run but their results are dropped. *)
 val map_merge :
   ?pool:Pool.t ->
-  ?wave:int ->
   init:(unit -> 'w) ->
   f:('w -> 'a -> 'b) ->
   merge:('acc -> 'a -> 'b -> 'acc) ->

@@ -4,6 +4,10 @@
 
 open Cmdliner
 
+let usage_error ~prog msg =
+  Printf.eprintf "%s: %s\n%!" prog msg;
+  exit 2
+
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
@@ -127,9 +131,7 @@ let setup_inject ~prog = function
   | Some spec -> (
     match Guard.Inject.of_string spec with
     | Ok rules -> Guard.Inject.arm rules
-    | Error msg ->
-      Printf.eprintf "%s: --inject: %s\n%!" prog msg;
-      exit 2)
+    | Error msg -> usage_error ~prog ("--inject: " ^ msg))
 
 (* --- lookahead time limit --------------------------------------------- *)
 
@@ -177,13 +179,7 @@ let cost_term =
              (String.concat ", " Egraph.Cost.names)))
 
 let resolve_tool ~prog ~portfolio ~cost tool =
-  let err fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "%s: %s\n%!" prog msg;
-        exit 2)
-      fmt
-  in
+  let err fmt = Printf.ksprintf (usage_error ~prog) fmt in
   (match cost with
   | Some name when Egraph.Cost.of_name name = None ->
     err "--cost: unknown cost function %S (expected one of %s)" name
@@ -239,14 +235,15 @@ let adder_term =
 
 let resolve_source circuit blif bench adder =
   match (circuit, blif, bench, adder) with
-  | None, None, None, None -> Msg.Adder { kind = "ripple"; bits = 8 }
-  | Some n, None, None, None -> Msg.Named n
+  | None, None, None, None -> Ok (Msg.Adder { kind = "ripple"; bits = 8 })
+  | Some n, None, None, None -> Ok (Msg.Named n)
   | None, Some f, None, None ->
-    Msg.Blif { name = Filename.basename f; text = read_file f }
+    Ok (Msg.Blif { name = Filename.basename f; text = read_file f })
   | None, None, Some f, None ->
-    Msg.Bench { name = Filename.basename f; text = read_file f }
-  | None, None, None, Some (kind, bits) -> Msg.Adder { kind; bits }
-  | _ -> invalid_arg "choose exactly one circuit source"
+    Ok (Msg.Bench { name = Filename.basename f; text = read_file f })
+  | None, None, None, Some (kind, bits) -> Ok (Msg.Adder { kind; bits })
+  | _ ->
+    Error "choose at most one of --circuit, --blif, --bench and --adder"
 
 (* --- results ----------------------------------------------------------- *)
 

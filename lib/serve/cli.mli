@@ -13,6 +13,11 @@
     runs it cold in-process ({!Engine.run_cold}), the second sends it
     to a server; both print the {!Msg.result} with {!print_result}. *)
 
+(** [usage_error ~prog msg] prints [prog: msg] on stderr and exits 2:
+    how the binaries report flags that parse but cannot be used
+    together or at all. *)
+val usage_error : prog:string -> string -> 'a
+
 (** {1 Logging} *)
 
 val setup_logs : bool -> unit
@@ -99,13 +104,14 @@ val adder_term : (string * int) option Cmdliner.Term.t
     [--adder]) into the wire form. A BLIF or BENCH file is read here
     and inlined under its basename, so a server never needs the
     client's filesystem. No flag means [--adder ripple:8]; more than
-    one raises [Invalid_argument]. *)
+    one is an [Error] naming the four flags, which a binary reports
+    with {!usage_error}. *)
 val resolve_source :
   string option ->
   string option ->
   string option ->
   (string * int) option ->
-  Msg.source
+  (Msg.source, string) result
 
 (** {1 Results} *)
 

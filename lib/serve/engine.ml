@@ -45,13 +45,8 @@ type t = {
   mutable accepting : bool;
   mutable stopping : bool;
   mutable running : job option;
-  mutable n_submitted : int;
-  mutable n_completed : int;
-  mutable n_failed : int;
-  mutable n_cancelled : int;
-  mutable n_rejected : int;
   mutable traces : (int * Obs.Json.t) list; (* newest first, <= trace_keep *)
-  telemetry : Telemetry.t;
+  telemetry : Telemetry.t; (* the one ledger, under [lock] *)
   mutable executor : unit Domain.t option;
   on_event : event -> unit;
   (* Interned generated circuits, executor-domain only. Safe to share
@@ -76,11 +71,6 @@ let create ?(on_event = fun _ -> ()) ?(slo = []) config =
     accepting = true;
     stopping = false;
     running = None;
-    n_submitted = 0;
-    n_completed = 0;
-    n_failed = 0;
-    n_cancelled = 0;
-    n_rejected = 0;
     traces = [];
     telemetry = Telemetry.create ~slo ();
     executor = None;
@@ -113,7 +103,6 @@ let validate (spec : Msg.submit) =
       b.Msg.bdd_node_ceiling < 0
       || b.Msg.sat_conflict_ceiling < 0
       || b.Msg.sat_conflict_budget < 0
-      || b.Msg.deadline_s < 0.0
     then Error ("bad_request", "budget fields must be non-negative")
     else Ok ()
   in
@@ -152,21 +141,13 @@ let guard_budget_of (b : Msg.budget) =
        else Guard.Budget.default.Guard.Budget.sat_conflict_budget);
   }
 
-(* The job's wall bound: the smaller of the driver's anytime budget
-   (--time-limit convention: None = driver default, 0 = unbounded) and
-   the tenant's deadline allowance. [infinity] = unbounded. *)
+(* The job's one wall bound, in the --time-limit convention: None =
+   the driver's default, 0 = unbounded ([infinity]). *)
 let wall_bound (spec : Msg.submit) =
-  let tl =
-    match spec.time_limit_s with
-    | None -> Lookahead.Driver.default.Lookahead.Driver.time_limit_s
-    | Some s when s <= 0.0 -> infinity
-    | Some s -> s
-  in
-  let tenant =
-    if spec.budget.Msg.deadline_s > 0.0 then spec.budget.Msg.deadline_s
-    else infinity
-  in
-  Float.min tl tenant
+  match spec.time_limit_s with
+  | None -> Lookahead.Driver.default.Lookahead.Driver.time_limit_s
+  | Some s when s <= 0.0 -> infinity
+  | Some s -> s
 
 let ms_of_ns ns = Int64.to_float ns *. 1e-6
 
@@ -176,13 +157,13 @@ let ms_of_ns ns = Int64.to_float ns *. 1e-6
    ids, tenants and wall latencies are Sched. Admission and execution
    emit identical Det payloads on the warm and cold paths, so the
    journal digest is part of the warm≡cold identity contract. *)
-let journal_admitted (spec : Msg.submit) =
+let journal_admitted ?sched (spec : Msg.submit) =
   Obs.Journal.record ~kind:"job.admitted"
     ~det:
       (Obs.Json.Obj
          [ ("circuit", Obs.Json.String (Msg.source_name spec.source));
            ("tool", Obs.Json.String spec.tool) ])
-    ()
+    ?sched ()
 
 (* The one job sequence, for executor jobs and cold runs alike: arm
    injection, reset observation, load, optimize, measure, snapshot,
@@ -369,19 +350,15 @@ let rec executor_loop t =
           ~rules:job.rules ~cancel_handle:job.cancel_handle ~wait_ns
       in
       Atomic.set t.current None;
-      (* Telemetry and the retained trace slice are built here, on the
-         executor domain, so the Metrics/Trace request paths never touch
-         job state. *)
-      Telemetry.record_result t.telemetry ~cls
-        ~state:(Msg.state_name result.Msg.state)
-        ~wait_ms:result.Msg.wait_ms ~run_ms:result.Msg.run_ms;
-      let trace_slice =
+      (* The job's counters and retained trace slice are rendered here,
+         on the executor domain, so the Metrics/Trace request paths
+         never touch job state. *)
+      let counters, trace_slice =
         match snap with
-        | None -> None
+        | None -> ([], None)
         | Some snap ->
-          Telemetry.absorb_counters t.telemetry
-            (List.map (fun (n, _, v) -> (n, v)) (Obs.counters snap));
-          Some (Obs.trace_json snap)
+          ( List.map (fun (n, _, v) -> (n, v)) (Obs.counters snap),
+            Some (Obs.trace_json snap) )
       in
       Mutex.lock t.lock;
       job.state <- result.Msg.state;
@@ -394,40 +371,31 @@ let rec executor_loop t =
                 List.filteri (fun i _ -> i < trace_keep - 1) t.traces
               else t.traces)
       | None -> ());
-      (match result.Msg.state with
-      | Msg.Done -> t.n_completed <- t.n_completed + 1
-      | Msg.Failed -> t.n_failed <- t.n_failed + 1
-      | _ -> t.n_cancelled <- t.n_cancelled + 1);
+      Telemetry.record_result t.telemetry ~cls
+        ~state:(Msg.state_name result.Msg.state)
+        ~wait_ms:result.Msg.wait_ms ~run_ms:result.Msg.run_ms;
+      Telemetry.absorb_counters t.telemetry counters;
       Mutex.unlock t.lock;
       t.on_event (Job_done { tenant = job.tenant; result });
       executor_loop t
     end
   end
 
-(* Coarse phases worth streaming; forwarding every span would flood the
-   connection with per-output decompose events. *)
-let progress_phases =
-  [ "opt.round"; "opt.balance"; "opt.polish"; "opt.sat_sweep";
-    "opt.final_cec" ]
-
 let start t =
   Obs.enable ();
   Obs.register_gc_probe ();
+  (* Obs calls the listener for the driver's coarse phases only;
+     forwarding every span would flood the connection with per-output
+     decompose events. *)
   Obs.set_span_listener
     (Some
        (fun phase _dur ->
-         if List.mem phase progress_phases then
-           match Atomic.get t.current with
-           | Some (id, tenant) ->
-             t.on_event
-               (Job_progress
-                  {
-                    tenant;
-                    id;
-                    phase;
-                    seq = Atomic.fetch_and_add t.pseq 1;
-                  })
-           | None -> ()));
+         match Atomic.get t.current with
+         | Some (id, tenant) ->
+           t.on_event
+             (Job_progress
+                { tenant; id; phase; seq = Atomic.fetch_and_add t.pseq 1 })
+         | None -> ()));
   Mutex.lock t.lock;
   if t.executor = None then
     t.executor <- Some (Domain.spawn (fun () -> executor_loop t));
@@ -465,76 +433,67 @@ let count_queued t =
   Queue.fold (fun acc j -> acc + if j.state = Msg.Queued then 1 else 0) 0
     t.queue
 
-let reject t ~tenant code =
-  Mutex.lock t.lock;
-  t.n_rejected <- t.n_rejected + 1;
-  Mutex.unlock t.lock;
-  Telemetry.record_reject t.telemetry ~tenant;
-  Obs.Journal.record ~kind:"job.rejected"
-    ~sched:
-      (Obs.Json.Obj
-         [ ("tenant", Obs.Json.Int tenant);
-           ("code", Obs.Json.String code) ])
-    ()
+(* Under [lock]. *)
+let admit t ~tenant spec rules =
+  if not t.accepting then Error ("shutting_down", "server is draining")
+  else if count_queued t >= t.config.queue_capacity then
+    Error
+      ( "queue_full",
+        Printf.sprintf "queue is at capacity (%d)" t.config.queue_capacity )
+  else begin
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    let job =
+      {
+        id;
+        tenant;
+        trace = trace_of ~tenant ~id;
+        spec;
+        rules;
+        cancel_handle = Guard.Deadline.cancellable ();
+        enq_ns = Obs.Clock.now_ns ();
+        state = Msg.Queued;
+        started_ns = 0L;
+      }
+    in
+    Queue.push job t.queue;
+    Hashtbl.replace t.jobs id job;
+    let position = count_queued t - 1 in
+    Condition.signal t.cond;
+    Ok (id, position)
+  end
 
 let submit t ~tenant spec =
-  match validate spec with
-  | Error ((code, _) as e) ->
-    reject t ~tenant code;
-    Error e
-  | Ok rules ->
-    Mutex.lock t.lock;
-    let r =
-      if not t.accepting then Error ("shutting_down", "server is draining")
-      else if count_queued t >= t.config.queue_capacity then
-        Error
-          ( "queue_full",
-            Printf.sprintf "queue is at capacity (%d)"
-              t.config.queue_capacity )
-      else begin
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        let job =
-          {
-            id;
-            tenant;
-            trace = trace_of ~tenant ~id;
-            spec;
-            rules;
-            cancel_handle = Guard.Deadline.cancellable ();
-            enq_ns = Obs.Clock.now_ns ();
-            state = Msg.Queued;
-            started_ns = 0L;
-          }
-        in
-        Queue.push job t.queue;
-        Hashtbl.replace t.jobs id job;
-        t.n_submitted <- t.n_submitted + 1;
-        let position = count_queued t - 1 in
-        Condition.signal t.cond;
-        Ok (id, position)
-      end
-    in
-    Mutex.unlock t.lock;
-    (match r with
-    | Ok (id, _) ->
-      Telemetry.record_admit t.telemetry ~tenant;
-      (* The admission event carries the job's trace id explicitly: the
-         process-wide current trace belongs to whatever job is running
-         on the executor right now. *)
-      Obs.Journal.record ~kind:"job.admitted"
-        ~det:
-          (Obs.Json.Obj
-             [ ("circuit", Obs.Json.String (Msg.source_name spec.Msg.source));
-               ("tool", Obs.Json.String spec.Msg.tool) ])
-        ~sched:
-          (Obs.Json.Obj
-             [ ("id", Obs.Json.Int id);
-               ("tenant", Obs.Json.Int tenant);
-               ("trace", Obs.Json.String (trace_of ~tenant ~id)) ])
-        ()
-    | Error (code, _) -> reject t ~tenant code);
-    r
+  let checked = validate spec in
+  Mutex.lock t.lock;
+  let r =
+    match checked with
+    | Error e -> Error e
+    | Ok rules -> admit t ~tenant spec rules
+  in
+  (match r with
+  | Ok _ -> Telemetry.record_admit t.telemetry ~tenant
+  | Error _ -> Telemetry.record_reject t.telemetry ~tenant);
+  Mutex.unlock t.lock;
+  (match r with
+  | Ok (id, _) ->
+    (* The admission event carries the job's trace id explicitly: the
+       process-wide current trace belongs to whatever job is running on
+       the executor right now. *)
+    journal_admitted spec
+      ~sched:
+        (Obs.Json.Obj
+           [ ("id", Obs.Json.Int id);
+             ("tenant", Obs.Json.Int tenant);
+             ("trace", Obs.Json.String (trace_of ~tenant ~id)) ])
+  | Error (code, _) ->
+    Obs.Journal.record ~kind:"job.rejected"
+      ~sched:
+        (Obs.Json.Obj
+           [ ("tenant", Obs.Json.Int tenant);
+             ("code", Obs.Json.String code) ])
+      ());
+  r
 
 let status t id =
   Mutex.lock t.lock;
@@ -568,10 +527,9 @@ let cancel_job t (job : job) =
   match job.state with
   | Msg.Queued ->
     job.state <- Msg.Cancelled;
-    t.n_cancelled <- t.n_cancelled + 1;
     Guard.Deadline.cancel job.cancel_handle;
     journal_cancelled job;
-    Telemetry.record_cancel t.telemetry ~tenant:job.tenant;
+    Telemetry.record_queued_cancel t.telemetry ~tenant:job.tenant;
     let wait_ns = Int64.sub (Obs.Clock.now_ns ()) job.enq_ns in
     Some (Job_done { tenant = job.tenant; result = cancelled_result job ~wait_ns })
   | Msg.Running ->
@@ -614,27 +572,27 @@ let drop_tenant t tenant =
 
 let stats t =
   Mutex.lock t.lock;
+  let ledger = t.telemetry in
   let s =
     {
-      Msg.submitted = t.n_submitted;
-      completed = t.n_completed;
-      failed = t.n_failed;
-      cancelled = t.n_cancelled;
-      rejected = t.n_rejected;
+      Msg.submitted = Telemetry.admitted ledger;
+      completed = Telemetry.ended ledger Msg.Done;
+      failed = Telemetry.ended ledger Msg.Failed;
+      cancelled = Telemetry.ended ledger Msg.Cancelled;
+      rejected = Telemetry.rejected ledger;
       queued = count_queued t;
       running = t.running <> None;
       queue_capacity = t.config.queue_capacity;
       uptime_s = Obs.Clock.now_s () -. t.born_s;
       interned_circuits = Hashtbl.length t.intern;
-      slo = [];
+      slo = Telemetry.slo_report ledger;
     }
   in
   Mutex.unlock t.lock;
-  { s with Msg.slo = Telemetry.slo_report t.telemetry }
+  s
 
 let metrics t =
   Mutex.lock t.lock;
-  let queued = count_queued t in
   let running_age_s =
     match t.running with
     | Some job when job.started_ns <> 0L ->
@@ -642,28 +600,29 @@ let metrics t =
       *. 1e-9
     | _ -> 0.0
   in
-  let running = if t.running = None then 0.0 else 1.0 in
-  let rejected = float_of_int t.n_rejected in
-  let interned = float_of_int (Hashtbl.length t.intern) in
+  let r =
+    Telemetry.exposition t.telemetry
+      ~gauges:
+        [
+          ("queue_depth", "Jobs waiting in the admission queue.",
+           float_of_int (count_queued t));
+          ("queue_capacity", "Admission queue capacity.",
+           float_of_int t.config.queue_capacity);
+          ("running_jobs", "Jobs currently executing (0 or 1).",
+           if t.running = None then 0.0 else 1.0);
+          ("running_job_age_s", "Wall-clock age of the running job.",
+           running_age_s);
+          ("uptime_s", "Engine uptime.", Obs.Clock.now_s () -. t.born_s);
+          ("interned_circuits", "Warm interned circuit images.",
+           float_of_int (Hashtbl.length t.intern));
+          ("journal_events", "Journal events recorded since enable.",
+           float_of_int (Obs.Journal.events_total ()));
+          ("journal_rotations", "Journal file-sink rotations.",
+           float_of_int (Obs.Journal.rotations ()));
+        ]
+  in
   Mutex.unlock t.lock;
-  Telemetry.exposition t.telemetry
-    ~gauges:
-      [
-        ("queue_depth", "Jobs waiting in the admission queue.",
-         float_of_int queued);
-        ("queue_capacity", "Admission queue capacity.",
-         float_of_int t.config.queue_capacity);
-        ("running_jobs", "Jobs currently executing (0 or 1).", running);
-        ("running_job_age_s", "Wall-clock age of the running job.",
-         running_age_s);
-        ("rejected_total", "Admissions rejected since start.", rejected);
-        ("uptime_s", "Engine uptime.", Obs.Clock.now_s () -. t.born_s);
-        ("interned_circuits", "Warm interned circuit images.", interned);
-        ("journal_events", "Journal events recorded since enable.",
-         float_of_int (Obs.Journal.events_total ()));
-        ("journal_rotations", "Journal file-sink rotations.",
-         float_of_int (Obs.Journal.rotations ()));
-      ]
+  r
 
 let job_trace t id =
   Mutex.lock t.lock;

@@ -18,11 +18,18 @@
     {!run_cold} is the one path without warm state.
 
     {b Tenancy.} Every job belongs to a tenant (the server uses the
-    connection id). Budgets and deadlines are per-job {!Guard}
-    contexts, so one tenant's blowup degrades that tenant's job through
-    the PR-5 ladder and cannot corrupt — only delay by queueing — any
-    other job; {!drop_tenant} cancels everything a vanished tenant
-    still owns, running job included, via {!Guard.Deadline.cancel}. *)
+    connection id). Budgets and the job's one wall-clock limit
+    ([time_limit_s]) are per-job {!Guard} contexts, so one tenant's
+    blowup degrades that tenant's job through the degradation ladder
+    and cannot corrupt — only delay by queueing — any other job;
+    {!drop_tenant} cancels everything a vanished tenant still owns,
+    running job included, via {!Guard.Deadline.cancel}.
+
+    {b One ledger.} The engine updates its {!Telemetry.t} only inside
+    critical sections on its one lock — admission and rejection in
+    {!submit}, cancellation, the executor's completion block — so each
+    job is counted once, and {!stats} and {!metrics} each read it in
+    one critical section. [on_event] callbacks run outside the lock. *)
 
 type config = {
   queue_capacity : int;  (** queued (not yet running) job bound *)
@@ -84,15 +91,21 @@ val drop_tenant : t -> int -> unit
 val stats : t -> Msg.server_stats
 
 (** Live telemetry: Prometheus-style text exposition plus its JSON
-    mirror, combining the cumulative {!Telemetry} state with live
-    engine gauges (queue depth, running-job age, warm-state sizes,
-    journal counters). Safe from any thread. *)
+    mirror, combining the ledger with live engine gauges (queue depth,
+    running-job age, warm-state sizes, journal counters), rendered in
+    one critical section. Safe from any thread. *)
 val metrics : t -> string * Obs.Json.t
 
 (** The retained Chrome-trace slice of a recently finished job (the
     engine keeps the last few), rendered at job completion; [None] for
     unknown or evicted ids. *)
 val job_trace : t -> int -> Obs.Json.t option
+
+(** Admission checks, without queueing: a known tool, non-negative
+    budget fields, a known circuit or adder, a parsable inject spec
+    (returned as rules). [Error (code, message)] otherwise. *)
+val validate :
+  Msg.submit -> (Guard.Inject.rule list, string * string) result
 
 (** Run a job cold on the calling domain: {!submit}'s validation,
     then the executor's job sequence with a fresh circuit build (no

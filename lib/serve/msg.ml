@@ -18,7 +18,6 @@ type budget = {
   bdd_node_ceiling : int;
   sat_conflict_ceiling : int;
   sat_conflict_budget : int;
-  deadline_s : float;
 }
 
 let default_budget =
@@ -26,7 +25,6 @@ let default_budget =
     bdd_node_ceiling = 0;
     sat_conflict_ceiling = 0;
     sat_conflict_budget = 0;
-    deadline_s = 0.0;
   }
 
 type submit = {
@@ -159,7 +157,6 @@ let budget_to_json b =
       ("bdd_nodes", J.Int b.bdd_node_ceiling);
       ("sat_conflicts", J.Int b.sat_conflict_ceiling);
       ("sat_conflict_budget", J.Int b.sat_conflict_budget);
-      ("deadline_s", J.Float b.deadline_s);
     ]
 
 let opt field f = function None -> [] | Some v -> [ (field, f v) ]
@@ -361,20 +358,7 @@ let budget_of_json = function
     let* sat_conflict_budget =
       opt_int_field j "sat_conflict_budget" ~default:0
     in
-    let* deadline =
-      match J.member "deadline_s" j with
-      | Some (J.Float f) -> Ok f
-      | Some (J.Int i) -> Ok (float_of_int i)
-      | None -> Ok 0.0
-      | Some _ -> bad "field \"deadline_s\" must be a number"
-    in
-    Ok
-      {
-        bdd_node_ceiling;
-        sat_conflict_ceiling;
-        sat_conflict_budget;
-        deadline_s = deadline;
-      }
+    Ok { bdd_node_ceiling; sat_conflict_ceiling; sat_conflict_budget }
 
 let submit_of_json j =
   let* source =

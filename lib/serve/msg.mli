@@ -23,16 +23,15 @@ type source =
     print for the same source. *)
 val source_name : source -> string
 
-(** Per-tenant resource budget, the wire form of {!Guard.Budget} plus
-    a wall-clock allowance. [0] means "library default" for the
-    ceilings and "unbounded" for the deadline. *)
+(** Per-tenant resource budget, the wire form of {!Guard.Budget}.
+    [0] means "library default". The job's one wall-clock limit is
+    {!submit}'s [time_limit_s]. *)
 type budget = {
   bdd_node_ceiling : int;
   sat_conflict_ceiling : int;
   sat_conflict_budget : int;
       (** cumulative conflicts across all of the job's SAT queries;
           [0] = unlimited (see [Guard.Budget.sat_conflict_budget]) *)
-  deadline_s : float;
 }
 
 val default_budget : budget
@@ -46,9 +45,9 @@ type submit = {
   budget : budget;
   inject : string option;  (** fault-injection spec, [--inject] syntax *)
   time_limit_s : float option;
-      (** anytime budget of the lookahead driver; [Some 0.] disables
-          the deadline (the [--time-limit 0] of the CLI); [None] uses
-          the driver default *)
+      (** the job's one wall-clock limit, handed to every tool as its
+          deadline; [Some 0.] disables it (the [--time-limit 0] of the
+          CLI); [None] uses the lookahead driver's default *)
   progress : bool;  (** stream coarse phase-completion events *)
   want_blif : bool;  (** include the optimized circuit as BLIF text *)
   want_report : bool;  (** include the [--report] observation JSON *)

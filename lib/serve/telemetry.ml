@@ -1,7 +1,8 @@
-(* Cumulative server-side telemetry: size-classed latency histograms
-   with interpolated quantiles, per-tenant admission outcomes, SLO
-   burn tracking, and a Prometheus-style text exposition (plus a JSON
-   mirror). See telemetry.mli.
+(* The job server's one ledger: job outcomes, size-classed latency
+   histograms with interpolated quantiles, per-tenant admission
+   outcomes, SLO burn tracking, and a Prometheus-style text exposition
+   (plus a JSON mirror). It has no lock of its own: the engine calls
+   every function here under its own lock. See telemetry.mli.
 
    Everything here is Sched data — wall-clock latencies, admission
    order, tenant behaviour — so none of it participates in the
@@ -23,58 +24,22 @@ let size_class ~gates =
   else if gates < 4096 then "l"
   else "xl"
 
-(* --- log-bucketed latency histograms ------------------------------- *)
+(* --- latency series ------------------------------------------------- *)
 
-(* Bucket [0] covers [0, 1] ms; bucket [i >= 1] covers (2^(i-1), 2^i];
-   the last bucket is the +Inf overflow. 2^26 ms ≈ 18.6 h, far beyond
-   any job this service runs. *)
-let nbounds = 27
+(* Latencies are kept as whole microseconds in Obs.Hist's layout;
+   everything shown is in milliseconds. *)
+let us_of_ms ms =
+  if ms > 0.0 then Float.to_int (Float.round (ms *. 1000.0)) else 0
 
-type hist = {
-  buckets : int array; (* nbounds + 1 slots, last = overflow *)
-  mutable count : int;
-  mutable sum_ms : float;
-}
+let observe_ms h ms = Obs.Hist.observe h (us_of_ms ms)
+let quantile_ms h q = Obs.Hist.quantile h q /. 1000.0
+let sum_ms h = float_of_int (Obs.Hist.sum h) /. 1000.0
 
-let hist_create () =
-  { buckets = Array.make (nbounds + 1) 0; count = 0; sum_ms = 0.0 }
-
-let bound_ms i = float_of_int (1 lsl i)
-
-let bucket_of_ms v =
-  let rec go i =
-    if i >= nbounds then nbounds else if v <= bound_ms i then i else go (i + 1)
-  in
-  go 0
-
-let hist_observe h v =
-  let v = if v < 0.0 then 0.0 else v in
-  let i = bucket_of_ms v in
-  h.buckets.(i) <- h.buckets.(i) + 1;
-  h.count <- h.count + 1;
-  h.sum_ms <- h.sum_ms +. v
-
-(* Linear interpolation inside the bucket holding rank [q * count].
-   The estimate always lands in the same power-of-two bucket as the
-   exact order statistic, so it is within a factor of 2 of it (and in
-   practice much closer). *)
-let quantile h q =
-  if h.count = 0 then 0.0
-  else begin
-    let rank = q *. float_of_int h.count in
-    let rec go i cum =
-      if i > nbounds then bound_ms nbounds
-      else
-        let c = h.buckets.(i) in
-        if c > 0 && float_of_int (cum + c) >= rank then begin
-          let lo = if i = 0 then 0.0 else bound_ms (i - 1) in
-          let hi = if i = nbounds then 2.0 *. lo else bound_ms i in
-          lo +. ((hi -. lo) *. (rank -. float_of_int cum) /. float_of_int c)
-        end
-        else go (i + 1) (cum + c)
-    in
-    go 0 0
-  end
+(* A bucket's inclusive upper bound in ms, exact: whole µs need three
+   decimals. *)
+let le_ms b =
+  let us = Obs.Hist.upper b in
+  Printf.sprintf "%d.%03d" (us / 1000) (us mod 1000)
 
 (* --- SLO objectives ------------------------------------------------- *)
 
@@ -108,7 +73,7 @@ let parse_slo spec =
 type class_state = {
   cs_cls : string;
   cs_objective_ms : float; (* 0 = no objective configured *)
-  cs_run : hist;
+  cs_run : Obs.Hist.t;
   mutable cs_jobs : int;
   mutable cs_breaches : int;
   cs_window : bool array; (* rolling breach flags, newest overwrites *)
@@ -123,15 +88,17 @@ type tenant_state = {
 }
 
 type t = {
-  lock : Mutex.t;
   classes : (string * class_state) list; (* fixed order: size_classes *)
-  wait : hist;
+  wait : Obs.Hist.t;
   states : (string, int) Hashtbl.t;
   tenants : (int, tenant_state) Hashtbl.t;
   obs_totals : (string, int) Hashtbl.t;
 }
 
-let create ?(slo = []) ?(window = 100) () =
+(* The rolling SLO window, in completed jobs per class. *)
+let window = 100
+
+let create ?(slo = []) () =
   let classes =
     List.map
       (fun cls ->
@@ -140,27 +107,22 @@ let create ?(slo = []) ?(window = 100) () =
             cs_cls = cls;
             cs_objective_ms =
               (match List.assoc_opt cls slo with Some ms -> ms | None -> 0.0);
-            cs_run = hist_create ();
+            cs_run = Obs.Hist.create ();
             cs_jobs = 0;
             cs_breaches = 0;
-            cs_window = Array.make (max 1 window) false;
+            cs_window = Array.make window false;
             cs_w_idx = 0;
             cs_w_fill = 0;
           } ))
       size_classes
   in
   {
-    lock = Mutex.create ();
     classes;
-    wait = hist_create ();
+    wait = Obs.Hist.create ();
     states = Hashtbl.create 8;
     tenants = Hashtbl.create 8;
     obs_totals = Hashtbl.create 64;
   }
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let tenant_state t tenant =
   match Hashtbl.find_opt t.tenants tenant with
@@ -170,51 +132,50 @@ let tenant_state t tenant =
     Hashtbl.replace t.tenants tenant ts;
     ts
 
+let bump tbl key n =
+  Hashtbl.replace tbl key
+    (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
+
 let record_admit t ~tenant =
-  locked t (fun () ->
-      let ts = tenant_state t tenant in
-      ts.t_admitted <- ts.t_admitted + 1)
+  let ts = tenant_state t tenant in
+  ts.t_admitted <- ts.t_admitted + 1
 
 let record_reject t ~tenant =
-  locked t (fun () ->
-      let ts = tenant_state t tenant in
-      ts.t_rejected <- ts.t_rejected + 1)
+  let ts = tenant_state t tenant in
+  ts.t_rejected <- ts.t_rejected + 1
 
 let record_cancel t ~tenant =
-  locked t (fun () ->
-      let ts = tenant_state t tenant in
-      ts.t_cancelled <- ts.t_cancelled + 1)
+  let ts = tenant_state t tenant in
+  ts.t_cancelled <- ts.t_cancelled + 1
+
+let record_queued_cancel t ~tenant =
+  record_cancel t ~tenant;
+  bump t.states (Msg.state_name Msg.Cancelled) 1
 
 let record_result t ~cls ~state ~wait_ms ~run_ms =
-  locked t (fun () ->
-      Hashtbl.replace t.states state
-        (1 + Option.value (Hashtbl.find_opt t.states state) ~default:0);
-      hist_observe t.wait wait_ms;
-      match List.assoc_opt cls t.classes with
-      | None -> ()
-      | Some cs ->
-        cs.cs_jobs <- cs.cs_jobs + 1;
-        hist_observe cs.cs_run run_ms;
-        let breach =
-          cs.cs_objective_ms > 0.0 && run_ms > cs.cs_objective_ms
-        in
-        if breach then cs.cs_breaches <- cs.cs_breaches + 1;
-        let n = Array.length cs.cs_window in
-        cs.cs_window.(cs.cs_w_idx) <- breach;
-        cs.cs_w_idx <- (cs.cs_w_idx + 1) mod n;
-        cs.cs_w_fill <- min (cs.cs_w_fill + 1) n)
+  bump t.states state 1;
+  observe_ms t.wait wait_ms;
+  match List.assoc_opt cls t.classes with
+  | None -> ()
+  | Some cs ->
+    cs.cs_jobs <- cs.cs_jobs + 1;
+    observe_ms cs.cs_run run_ms;
+    let breach = cs.cs_objective_ms > 0.0 && run_ms > cs.cs_objective_ms in
+    if breach then cs.cs_breaches <- cs.cs_breaches + 1;
+    cs.cs_window.(cs.cs_w_idx) <- breach;
+    cs.cs_w_idx <- (cs.cs_w_idx + 1) mod window;
+    cs.cs_w_fill <- min (cs.cs_w_fill + 1) window
 
 let absorb_counters t counters =
-  locked t (fun () ->
-      List.iter
-        (fun (name, v) ->
-          if v <> 0 then
-            Hashtbl.replace t.obs_totals name
-              (v + Option.value (Hashtbl.find_opt t.obs_totals name) ~default:0))
-        counters)
+  List.iter (fun (name, v) -> if v <> 0 then bump t.obs_totals name v) counters
 
-(* Call with the lock held. *)
-let window_breaches_locked cs =
+let admitted t = Hashtbl.fold (fun _ ts n -> n + ts.t_admitted) t.tenants 0
+let rejected t = Hashtbl.fold (fun _ ts n -> n + ts.t_rejected) t.tenants 0
+
+let ended t state =
+  Option.value (Hashtbl.find_opt t.states (Msg.state_name state)) ~default:0
+
+let window_breaches cs =
   let n = ref 0 in
   for i = 0 to cs.cs_w_fill - 1 do
     if cs.cs_window.(i) then n := !n + 1
@@ -222,24 +183,23 @@ let window_breaches_locked cs =
   !n
 
 let slo_report t =
-  locked t (fun () ->
-      List.filter_map
-        (fun (_, cs) ->
-          if cs.cs_jobs = 0 && cs.cs_objective_ms = 0.0 then None
-          else
-            Some
-              {
-                Msg.cls = cs.cs_cls;
-                objective_ms = cs.cs_objective_ms;
-                jobs = cs.cs_jobs;
-                breaches = cs.cs_breaches;
-                window = cs.cs_w_fill;
-                window_breaches = window_breaches_locked cs;
-                p50_ms = quantile cs.cs_run 0.50;
-                p95_ms = quantile cs.cs_run 0.95;
-                p99_ms = quantile cs.cs_run 0.99;
-              })
-        t.classes)
+  List.filter_map
+    (fun (_, cs) ->
+      if cs.cs_jobs = 0 && cs.cs_objective_ms = 0.0 then None
+      else
+        Some
+          {
+            Msg.cls = cs.cs_cls;
+            objective_ms = cs.cs_objective_ms;
+            jobs = cs.cs_jobs;
+            breaches = cs.cs_breaches;
+            window = cs.cs_w_fill;
+            window_breaches = window_breaches cs;
+            p50_ms = quantile_ms cs.cs_run 0.50;
+            p95_ms = quantile_ms cs.cs_run 0.95;
+            p99_ms = quantile_ms cs.cs_run 0.99;
+          })
+    t.classes
 
 (* --- exposition ------------------------------------------------------ *)
 
@@ -273,181 +233,184 @@ let add_family b ~name ~help ~typ samples =
   end
 
 (* One Prometheus histogram family: [# TYPE name histogram], then per
-   labeled series the cumulative [name_bucket{...,le=...}] samples up
-   to the first bound that already covers every observation, the
-   mandatory [le="+Inf"] bucket, and [name_sum] / [name_count]. *)
+   labeled series the cumulative [name_bucket{...,le=...}] samples from
+   the last empty bucket below the first observation (the lower edge a
+   quantile interpolates from) up to the first bound that covers every
+   observation, the mandatory [le="+Inf"] bucket, and [name_sum] /
+   [name_count]. *)
 let add_hist b ~name ~help series =
   if series <> [] then begin
     Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
     Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" name);
     List.iter
       (fun (labels, h) ->
-        let cum = ref 0 in
-        let i = ref 0 in
-        let continue = ref (h.count > 0) in
-        while !continue && !i < nbounds do
-          cum := !cum + h.buckets.(!i);
+        let count = Obs.Hist.count h in
+        let empty i = Obs.Hist.bucket h i = 0 in
+        let cum = ref 0 and i = ref 0 in
+        while count > 0 && empty !i && empty (!i + 1) do
+          incr i
+        done;
+        while !cum < count do
+          cum := !cum + Obs.Hist.bucket h !i;
           Buffer.add_string b
             (Printf.sprintf "%s_bucket%s %d\n" name
-               (render_labels (labels @ [ ("le", fnum (bound_ms !i)) ]))
+               (render_labels (labels @ [ ("le", le_ms !i) ]))
                !cum);
-          if !cum = h.count then continue := false;
           i := !i + 1
         done;
         Buffer.add_string b
           (Printf.sprintf "%s_bucket%s %d\n" name
              (render_labels (labels @ [ ("le", "+Inf") ]))
-             h.count);
+             count);
         Buffer.add_string b
           (Printf.sprintf "%s_sum%s %s\n" name (render_labels labels)
-             (fnum h.sum_ms));
+             (fnum (sum_ms h)));
         Buffer.add_string b
           (Printf.sprintf "%s_count%s %d\n" name (render_labels labels)
-             h.count))
+             count))
       series
   end
 
 let hist_json h =
   J.Obj
     [
-      ("count", J.Int h.count);
-      ("sum_ms", J.Float h.sum_ms);
-      ("p50_ms", J.Float (quantile h 0.50));
-      ("p95_ms", J.Float (quantile h 0.95));
-      ("p99_ms", J.Float (quantile h 0.99));
+      ("count", J.Int (Obs.Hist.count h));
+      ("sum_ms", J.Float (sum_ms h));
+      ("p50_ms", J.Float (quantile_ms h 0.50));
+      ("p95_ms", J.Float (quantile_ms h 0.95));
+      ("p99_ms", J.Float (quantile_ms h 0.99));
     ]
 
 let exposition t ~gauges =
-  locked t (fun () ->
-      let b = Buffer.create 4096 in
-      (* Job outcomes. *)
-      let states = sorted_hashtbl t.states String.compare in
-      add_family b ~name:"lookahead_jobs_total"
-        ~help:"Completed jobs by final state." ~typ:"counter"
-        (List.map
-           (fun (s, n) -> ([ ("state", s) ], string_of_int n))
-           states);
-      (* Per-tenant admission outcomes. *)
-      let tenants = sorted_hashtbl t.tenants compare in
-      add_family b ~name:"lookahead_tenant_jobs_total"
-        ~help:"Per-tenant admission outcomes." ~typ:"counter"
-        (List.concat_map
-           (fun (tid, ts) ->
-             let t = string_of_int tid in
-             [
-               ([ ("tenant", t); ("event", "admitted") ],
-                string_of_int ts.t_admitted);
-               ([ ("tenant", t); ("event", "rejected") ],
-                string_of_int ts.t_rejected);
-               ([ ("tenant", t); ("event", "cancelled") ],
-                string_of_int ts.t_cancelled);
-             ])
-           tenants);
-      (* Queue wait. *)
-      if t.wait.count > 0 then
-        add_hist b ~name:"lookahead_queue_wait_ms"
-          ~help:"Queue wait, admission to start, milliseconds."
-          [ ([], t.wait) ];
-      (* Per-class run latency. *)
-      let active =
-        List.filter (fun (_, cs) -> cs.cs_jobs > 0) t.classes
-      in
-      add_hist b ~name:"lookahead_job_run_ms"
-        ~help:"Job execution wall clock by size class, milliseconds."
-        (List.map (fun (cls, cs) -> ([ ("class", cls) ], cs.cs_run)) active);
-      add_family b ~name:"lookahead_job_run_ms_quantile"
-        ~help:"Interpolated run-latency quantiles by size class."
-        ~typ:"gauge"
-        (List.concat_map
-           (fun (cls, cs) ->
-             List.map
-               (fun (q, qv) ->
-                 ([ ("class", cls); ("q", q) ], fnum (quantile cs.cs_run qv)))
-               [ ("0.5", 0.50); ("0.95", 0.95); ("0.99", 0.99) ])
-           active);
-      (* SLO tracking. *)
-      let tracked =
-        List.filter (fun (_, cs) -> cs.cs_objective_ms > 0.0) t.classes
-      in
-      add_family b ~name:"lookahead_slo_objective_ms"
-        ~help:"Configured run-latency objective by size class."
-        ~typ:"gauge"
-        (List.map
-           (fun (cls, cs) -> ([ ("class", cls) ], fnum cs.cs_objective_ms))
-           tracked);
-      add_family b ~name:"lookahead_slo_breaches_total"
-        ~help:"Jobs over their class objective since start." ~typ:"counter"
-        (List.map
-           (fun (cls, cs) -> ([ ("class", cls) ], string_of_int cs.cs_breaches))
-           tracked);
-      add_family b ~name:"lookahead_slo_window_jobs"
-        ~help:"Completed jobs in the rolling SLO window." ~typ:"gauge"
-        (List.map
-           (fun (cls, cs) -> ([ ("class", cls) ], string_of_int cs.cs_w_fill))
-           tracked);
-      add_family b ~name:"lookahead_slo_window_breaches"
-        ~help:"Objective breaches in the rolling SLO window." ~typ:"gauge"
-        (List.map
-           (fun (cls, cs) ->
-             ([ ("class", cls) ], string_of_int (window_breaches_locked cs)))
-           tracked);
-      (* Cumulative Obs counters folded over per-job snapshots. *)
-      let obs = sorted_hashtbl t.obs_totals String.compare in
-      add_family b ~name:"lookahead_obs_total"
-        ~help:"Cumulative Obs counters over all completed jobs."
-        ~typ:"counter"
-        (List.map
-           (fun (name, v) -> ([ ("metric", name) ], string_of_int v))
-           obs);
-      (* Live engine gauges, injected by the caller. *)
-      List.iter
-        (fun (name, help, v) ->
-          add_family b ~name:("lookahead_" ^ name) ~help ~typ:"gauge"
-            [ ([], fnum v) ])
-        gauges;
-      let text = Buffer.contents b in
-      let json =
-        J.Obj
-          [
-            ("schema", J.String "lookahead-metrics/1");
-            ("jobs",
-             J.Obj (List.map (fun (s, n) -> (s, J.Int n)) states));
-            ("tenants",
-             J.Obj
-               (List.map
-                  (fun (tid, ts) ->
-                    ( string_of_int tid,
+  let b = Buffer.create 4096 in
+  (* Job outcomes. *)
+  let states = sorted_hashtbl t.states String.compare in
+  add_family b ~name:"lookahead_jobs_total"
+    ~help:"Completed jobs by final state." ~typ:"counter"
+    (List.map
+       (fun (s, n) -> ([ ("state", s) ], string_of_int n))
+       states);
+  (* Per-tenant admission outcomes. *)
+  let tenants = sorted_hashtbl t.tenants compare in
+  add_family b ~name:"lookahead_tenant_jobs_total"
+    ~help:"Per-tenant admission outcomes." ~typ:"counter"
+    (List.concat_map
+       (fun (tid, ts) ->
+         let t = string_of_int tid in
+         [
+           ([ ("tenant", t); ("event", "admitted") ],
+            string_of_int ts.t_admitted);
+           ([ ("tenant", t); ("event", "rejected") ],
+            string_of_int ts.t_rejected);
+           ([ ("tenant", t); ("event", "cancelled") ],
+            string_of_int ts.t_cancelled);
+         ])
+       tenants);
+  (* Queue wait. *)
+  if Obs.Hist.count t.wait > 0 then
+    add_hist b ~name:"lookahead_queue_wait_ms"
+      ~help:"Queue wait, admission to start, milliseconds."
+      [ ([], t.wait) ];
+  (* Per-class run latency. *)
+  let active =
+    List.filter (fun (_, cs) -> cs.cs_jobs > 0) t.classes
+  in
+  add_hist b ~name:"lookahead_job_run_ms"
+    ~help:"Job execution wall clock by size class, milliseconds."
+    (List.map (fun (cls, cs) -> ([ ("class", cls) ], cs.cs_run)) active);
+  add_family b ~name:"lookahead_job_run_ms_quantile"
+    ~help:"Interpolated run-latency quantiles by size class."
+    ~typ:"gauge"
+    (List.concat_map
+       (fun (cls, cs) ->
+         List.map
+           (fun (q, qv) ->
+             ([ ("class", cls); ("q", q) ], fnum (quantile_ms cs.cs_run qv)))
+           [ ("0.5", 0.50); ("0.95", 0.95); ("0.99", 0.99) ])
+       active);
+  (* SLO tracking. *)
+  let tracked =
+    List.filter (fun (_, cs) -> cs.cs_objective_ms > 0.0) t.classes
+  in
+  add_family b ~name:"lookahead_slo_objective_ms"
+    ~help:"Configured run-latency objective by size class."
+    ~typ:"gauge"
+    (List.map
+       (fun (cls, cs) -> ([ ("class", cls) ], fnum cs.cs_objective_ms))
+       tracked);
+  add_family b ~name:"lookahead_slo_breaches_total"
+    ~help:"Jobs over their class objective since start." ~typ:"counter"
+    (List.map
+       (fun (cls, cs) -> ([ ("class", cls) ], string_of_int cs.cs_breaches))
+       tracked);
+  add_family b ~name:"lookahead_slo_window_jobs"
+    ~help:"Completed jobs in the rolling SLO window." ~typ:"gauge"
+    (List.map
+       (fun (cls, cs) -> ([ ("class", cls) ], string_of_int cs.cs_w_fill))
+       tracked);
+  add_family b ~name:"lookahead_slo_window_breaches"
+    ~help:"Objective breaches in the rolling SLO window." ~typ:"gauge"
+    (List.map
+       (fun (cls, cs) ->
+         ([ ("class", cls) ], string_of_int (window_breaches cs)))
+       tracked);
+  (* Cumulative Obs counters folded over per-job snapshots. *)
+  let obs = sorted_hashtbl t.obs_totals String.compare in
+  add_family b ~name:"lookahead_obs_total"
+    ~help:"Cumulative Obs counters over all completed jobs."
+    ~typ:"counter"
+    (List.map
+       (fun (name, v) -> ([ ("metric", name) ], string_of_int v))
+       obs);
+  (* Live engine gauges, injected by the caller. *)
+  List.iter
+    (fun (name, help, v) ->
+      add_family b ~name:("lookahead_" ^ name) ~help ~typ:"gauge"
+        [ ([], fnum v) ])
+    gauges;
+  let text = Buffer.contents b in
+  let json =
+    J.Obj
+      [
+        ("schema", J.String "lookahead-metrics/1");
+        ("jobs",
+         J.Obj (List.map (fun (s, n) -> (s, J.Int n)) states));
+        ("tenants",
+         J.Obj
+           (List.map
+              (fun (tid, ts) ->
+                ( string_of_int tid,
+                  J.Obj
+                    [
+                      ("admitted", J.Int ts.t_admitted);
+                      ("rejected", J.Int ts.t_rejected);
+                      ("cancelled", J.Int ts.t_cancelled);
+                    ] ))
+              tenants));
+        ("queue_wait_ms", hist_json t.wait);
+        ("classes",
+         J.Obj
+           (List.filter_map
+              (fun (cls, cs) ->
+                if cs.cs_jobs = 0 && cs.cs_objective_ms = 0.0 then None
+                else
+                  Some
+                    ( cls,
                       J.Obj
                         [
-                          ("admitted", J.Int ts.t_admitted);
-                          ("rejected", J.Int ts.t_rejected);
-                          ("cancelled", J.Int ts.t_cancelled);
+                          ("run_ms", hist_json cs.cs_run);
+                          ("objective_ms", J.Float cs.cs_objective_ms);
+                          ("breaches", J.Int cs.cs_breaches);
+                          ("window", J.Int cs.cs_w_fill);
+                          ("window_breaches",
+                           J.Int (window_breaches cs));
                         ] ))
-                  tenants));
-            ("queue_wait_ms", hist_json t.wait);
-            ("classes",
-             J.Obj
-               (List.filter_map
-                  (fun (cls, cs) ->
-                    if cs.cs_jobs = 0 && cs.cs_objective_ms = 0.0 then None
-                    else
-                      Some
-                        ( cls,
-                          J.Obj
-                            [
-                              ("run_ms", hist_json cs.cs_run);
-                              ("objective_ms", J.Float cs.cs_objective_ms);
-                              ("breaches", J.Int cs.cs_breaches);
-                              ("window", J.Int cs.cs_w_fill);
-                              ("window_breaches",
-                               J.Int (window_breaches_locked cs));
-                            ] ))
-                  t.classes));
-            ("obs",
-             J.Obj (List.map (fun (name, v) -> (name, J.Int v)) obs));
-            ("gauges",
-             J.Obj
-               (List.map (fun (name, _, v) -> (name, J.Float v)) gauges));
-          ]
-      in
-      (text, json))
+              t.classes));
+        ("obs",
+         J.Obj (List.map (fun (name, v) -> (name, J.Int v)) obs));
+        ("gauges",
+         J.Obj
+           (List.map (fun (name, _, v) -> (name, J.Float v)) gauges));
+      ]
+  in
+  (text, json)

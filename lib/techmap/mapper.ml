@@ -224,12 +224,12 @@ let delay n =
     (fun acc (_, s) -> max acc (arrival_of arrival s))
     0.0 n.primary_outputs
 
-let check ?(rounds = 16) n =
+let check n =
   let g = n.source in
   let ni = Aig.num_inputs g in
   let st = Random.State.make [| 0x7a9; ni |] in
   let ok = ref true in
-  for _ = 1 to rounds do
+  for _ = 1 to 16 do
     let words = Array.init ni (fun _ -> Random.State.int64 st Int64.max_int) in
     let values = Aig.sim g words in
     (* Evaluate the mapped netlist on the same vectors. *)

@@ -1,4 +1,6 @@
-let dynamic_mw ?(sim_rounds = 32) n =
+let sim_rounds = 32
+
+let dynamic_mw n =
   let g = n.Mapper.source in
   let ni = Aig.num_inputs g in
   let nn = Aig.num_nodes g in

@@ -6,5 +6,6 @@
     independence), and the dynamic power is
     [sum over nets of 1/2 * activity * C_load * Vdd^2 * f]. *)
 
-(** Power in mW at {!Library.clock_hz} and {!Library.vdd}. *)
-val dynamic_mw : ?sim_rounds:int -> Mapper.netlist -> float
+(** Power in mW at {!Library.clock_hz} and {!Library.vdd}, from 32
+    rounds of 64-bit random simulation. *)
+val dynamic_mw : Mapper.netlist -> float

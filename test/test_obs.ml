@@ -238,6 +238,49 @@ let prop_report_roundtrip =
       roundtrips r1 && roundtrips r2
       && Obs.Json.equal (Obs.det_subtree r1) (Obs.det_subtree r2))
 
+(* The exported layout is the one every [Obs.histogram] records into:
+   each value's bucket bounds contain it, and a histogram fed the same
+   values reports the same buckets, count and sum. A random shift
+   spreads the values over every bucket. *)
+let prop_hist_layout =
+  qtest ~count:200 "Hist buckets contain their values; report agrees"
+    QCheck.(
+      make ~print:Print.(list int)
+        Gen.(
+          list_size (0 -- 40)
+            (map2 (fun x k -> (x land max_int) lsr k) int (0 -- 62))))
+    (fun vals ->
+      let h = Obs.Hist.create () in
+      List.iter (Obs.Hist.observe h) vals;
+      quiesce ();
+      Obs.enable ();
+      List.iter (Obs.observe (Obs.histogram "test.hist_layout")) vals;
+      let report = Obs.report_json (Obs.snapshot ()) in
+      quiesce ();
+      let bucket b =
+        match Obs.Hist.bucket h b with
+        | 0 -> None
+        | c -> Some (string_of_int b, Obs.Json.Int c)
+      in
+      let contained v =
+        let b = Obs.Hist.bucket_of v in
+        v <= Obs.Hist.upper b && (b = 0 || v > Obs.Hist.upper (b - 1))
+      in
+      List.for_all contained vals
+      && Obs.Hist.count h = List.length vals
+      && Obs.Hist.sum h = List.fold_left ( + ) 0 vals
+      && Option.bind
+           (Obs.Json.member "histograms" (Obs.det_subtree report))
+           (Obs.Json.member "test.hist_layout")
+         = Some
+             (Obs.Json.Obj
+                [ ("count", Obs.Json.Int (Obs.Hist.count h));
+                  ("sum", Obs.Json.Int (Obs.Hist.sum h));
+                  ("buckets",
+                   Obs.Json.Obj
+                     (List.filter_map bucket
+                        (List.init Obs.Hist.buckets Fun.id))) ]))
+
 (* ------------------------------------------------------------------ *)
 (* Newly exposed layer counters                                        *)
 (* ------------------------------------------------------------------ *)
@@ -477,6 +520,7 @@ let () =
           Alcotest.test_case "trace events well-formed" `Quick
             test_trace_events;
           prop_report_roundtrip;
+          prop_hist_layout;
         ] );
       ( "layer counters",
         [

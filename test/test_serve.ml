@@ -122,7 +122,6 @@ let submit_spec =
         Msg.bdd_node_ceiling = 1000;
         sat_conflict_ceiling = 7;
         sat_conflict_budget = 0;
-        deadline_s = 2.5;
       };
     inject = Some "bdd@500:r";
     time_limit_s = Some 0.0;
@@ -488,6 +487,46 @@ let test_engine_queued_cancel () =
     "cancelled result delivered" true
     (r.Msg.state = Msg.Cancelled)
 
+(* One ledger: [stats] and [metrics] count the same jobs. All three
+   submissions land before the executor starts, so the outcome is
+   deterministic: one job done, one cancelled in the queue, one
+   rejected at admission. *)
+let test_engine_ledger () =
+  quiesce ();
+  let s = sink () in
+  let e = Engine.create ~on_event:(sink_push s) Engine.default_config in
+  let job =
+    { (Msg.submit_defaults
+         ~source:(Msg.Adder { kind = "ripple"; bits = 4 })
+         ~tool:"none")
+      with
+      Msg.time_limit_s = Some 0.0 }
+  in
+  let first, _ = Result.get_ok (Engine.submit e ~tenant:1 job) in
+  let second, _ = Result.get_ok (Engine.submit e ~tenant:1 job) in
+  ignore (Engine.submit e ~tenant:2 { job with Msg.tool = "nosuch" });
+  ignore (Engine.cancel e ~tenant:1 second);
+  Engine.start e;
+  ignore (wait_result s first);
+  let st = Engine.stats e in
+  let text, _ = Engine.metrics e in
+  Engine.stop e;
+  Alcotest.(check (list int))
+    "stats: submitted, completed, failed, cancelled, rejected"
+    [ 2; 1; 0; 1; 1 ]
+    [ st.Msg.submitted; st.Msg.completed; st.Msg.failed; st.Msg.cancelled;
+      st.Msg.rejected ];
+  let lines = String.split_on_char '\n' text in
+  Alcotest.(check bool) "metrics: one done job" true
+    (List.mem "lookahead_jobs_total{state=\"done\"} 1" lines);
+  Alcotest.(check bool) "metrics: one cancelled job" true
+    (List.mem "lookahead_jobs_total{state=\"cancelled\"} 1" lines);
+  Alcotest.(check bool) "metrics: no lookahead_rejected_total" false
+    (List.exists
+       (fun l ->
+         List.mem "lookahead_rejected_total" (String.split_on_char ' ' l))
+       lines)
+
 let test_engine_warm_identity () =
   quiesce ();
   let s = sink () in
@@ -687,7 +726,8 @@ let test_telemetry_quantiles () =
     && report.Msg.p95_ms <= report.Msg.p99_ms)
 
 (* Golden exposition text: a fixed set of observations must render to
-   byte-identical Prometheus text (sorted iteration, %g floats). *)
+   byte-identical Prometheus text (sorted iteration, %g floats, bucket
+   bounds (2^b - 1) us printed exactly in ms). *)
 let test_telemetry_exposition_golden () =
   let t = Telemetry.create ~slo:[ ("xs", 50.0) ] () in
   Telemetry.record_admit t ~tenant:1;
@@ -721,42 +761,40 @@ let test_telemetry_exposition_golden () =
         "# HELP lookahead_queue_wait_ms Queue wait, admission to start, \
          milliseconds.";
         "# TYPE lookahead_queue_wait_ms histogram";
-        "lookahead_queue_wait_ms_bucket{le=\"1\"} 2";
-        "lookahead_queue_wait_ms_bucket{le=\"2\"} 3";
+        "lookahead_queue_wait_ms_bucket{le=\"0.255\"} 0";
+        "lookahead_queue_wait_ms_bucket{le=\"0.511\"} 1";
+        "lookahead_queue_wait_ms_bucket{le=\"1.023\"} 2";
+        "lookahead_queue_wait_ms_bucket{le=\"2.047\"} 3";
         "lookahead_queue_wait_ms_bucket{le=\"+Inf\"} 3";
         "lookahead_queue_wait_ms_sum 3.5";
         "lookahead_queue_wait_ms_count 3";
         "# HELP lookahead_job_run_ms Job execution wall clock by size class, \
          milliseconds.";
         "# TYPE lookahead_job_run_ms histogram";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"1\"} 0";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"2\"} 0";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"4\"} 1";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"8\"} 1";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"16\"} 1";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"32\"} 1";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"64\"} 1";
-        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"128\"} 2";
+        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"2.047\"} 0";
+        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"4.095\"} 1";
+        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"8.191\"} 1";
+        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"16.383\"} 1";
+        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"32.767\"} 1";
+        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"65.535\"} 1";
+        "lookahead_job_run_ms_bucket{class=\"xs\",le=\"131.071\"} 2";
         "lookahead_job_run_ms_bucket{class=\"xs\",le=\"+Inf\"} 2";
         "lookahead_job_run_ms_sum{class=\"xs\"} 99";
         "lookahead_job_run_ms_count{class=\"xs\"} 2";
-        "lookahead_job_run_ms_bucket{class=\"s\",le=\"1\"} 0";
-        "lookahead_job_run_ms_bucket{class=\"s\",le=\"2\"} 0";
-        "lookahead_job_run_ms_bucket{class=\"s\",le=\"4\"} 0";
-        "lookahead_job_run_ms_bucket{class=\"s\",le=\"8\"} 0";
-        "lookahead_job_run_ms_bucket{class=\"s\",le=\"16\"} 1";
+        "lookahead_job_run_ms_bucket{class=\"s\",le=\"8.191\"} 0";
+        "lookahead_job_run_ms_bucket{class=\"s\",le=\"16.383\"} 1";
         "lookahead_job_run_ms_bucket{class=\"s\",le=\"+Inf\"} 1";
         "lookahead_job_run_ms_sum{class=\"s\"} 12";
         "lookahead_job_run_ms_count{class=\"s\"} 1";
         "# HELP lookahead_job_run_ms_quantile Interpolated run-latency \
          quantiles by size class.";
         "# TYPE lookahead_job_run_ms_quantile gauge";
-        "lookahead_job_run_ms_quantile{class=\"xs\",q=\"0.5\"} 4";
-        "lookahead_job_run_ms_quantile{class=\"xs\",q=\"0.95\"} 121.6";
-        "lookahead_job_run_ms_quantile{class=\"xs\",q=\"0.99\"} 126.72";
-        "lookahead_job_run_ms_quantile{class=\"s\",q=\"0.5\"} 12";
-        "lookahead_job_run_ms_quantile{class=\"s\",q=\"0.95\"} 15.6";
-        "lookahead_job_run_ms_quantile{class=\"s\",q=\"0.99\"} 15.92";
+        "lookahead_job_run_ms_quantile{class=\"xs\",q=\"0.5\"} 4.095";
+        "lookahead_job_run_ms_quantile{class=\"xs\",q=\"0.95\"} 124.517";
+        "lookahead_job_run_ms_quantile{class=\"xs\",q=\"0.99\"} 129.76";
+        "lookahead_job_run_ms_quantile{class=\"s\",q=\"0.5\"} 12.2875";
+        "lookahead_job_run_ms_quantile{class=\"s\",q=\"0.95\"} 15.9735";
+        "lookahead_job_run_ms_quantile{class=\"s\",q=\"0.99\"} 16.3011";
         "# HELP lookahead_slo_objective_ms Configured run-latency objective \
          by size class.";
         "# TYPE lookahead_slo_objective_ms gauge";
@@ -1068,7 +1106,7 @@ let test_server_disconnect_cancels () =
 (* Both job front ends resolve [-c]/[--blif]/[--bench]/[--adder] to the
    wire form: a file is read and inlined under its basename. *)
 let test_cli_resolve_source () =
-  let resolve = Serve.Cli.resolve_source in
+  let resolve a b c d = Result.get_ok (Serve.Cli.resolve_source a b c d) in
   let path = Filename.temp_file "resolve" ".blif" in
   let text = ".model m\n.inputs a\n.outputs z\n.names a z\n1 1\n.end\n" in
   Serve.Cli.write_file path text;
@@ -1081,9 +1119,9 @@ let test_cli_resolve_source () =
     = Msg.Adder { kind = "cla"; bits = 8 });
   Alcotest.(check bool) "no flag falls back to ripple:8" true
     (resolve None None None None = Msg.Adder { kind = "ripple"; bits = 8 });
-  Alcotest.check_raises "two sources"
-    (Invalid_argument "choose exactly one circuit source") (fun () ->
-      ignore (resolve (Some "C432") None None (Some ("cla", 8))))
+  Alcotest.(check bool) "two sources" true
+    (Serve.Cli.resolve_source (Some "C432") None None (Some ("cla", 8))
+    = Error "choose at most one of --circuit, --blif, --bench and --adder")
 
 (* ------------------------------------------------------------------ *)
 
@@ -1128,6 +1166,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "queue full" `Quick test_engine_queue_full;
           Alcotest.test_case "queued cancel" `Quick test_engine_queued_cancel;
+          Alcotest.test_case "ledger" `Quick test_engine_ledger;
           Alcotest.test_case "warm identity" `Slow test_engine_warm_identity;
           Alcotest.test_case "faulted warm identity" `Slow
             test_engine_faulted_warm_identity;
