@@ -144,12 +144,20 @@ grep -q "breaches" "$out/top.out" || {
 
 # Bad input: a BLIF whose two gates feed each other must fail the job
 # with the reader's loop message (not a stack overflow), and the same
-# server must still complete a clean job afterwards.
+# server must still complete a clean job after it and two refusals.
 printf '.model loop\n.inputs a\n.outputs z\n.names a z y\n11 1\n.names y a z\n11 1\n.end\n' \
   >"$out/loop.blif"
 expect_exit 1 "^job failed:.*combinational loop" loop \
   dune exec bin/lookahead_serve.exe -- submit -s "$sock" \
   --blif "$out/loop.blif" --tool none
+# A submission the server refuses at admission prints as `opt` prints
+# the same job: a failed job with the refusal's code, exit 1.
+expect_exit 1 '^job failed: bad_request: unknown circuit "nosuch"' \
+  submit_nosuch dune exec bin/lookahead_serve.exe -- submit -s "$sock" \
+  -c nosuch -t none
+expect_exit 1 '^job failed: bad_request: inject: rule "gremlin@3"' \
+  submit_bad_inject dune exec bin/lookahead_serve.exe -- submit -s "$sock" \
+  --adder ripple:4 -t none --inject gremlin@3
 dune exec bin/lookahead_serve.exe -- submit -s "$sock" --adder cla:8 \
   --time-limit 0 >"$out/after.out" 2>/dev/null || {
   echo "smoke_serve: FAIL — clean job after the loop job failed" >&2

@@ -159,7 +159,11 @@ let submit_cmd =
     let on_progress ~phase ~seq =
       if progress then Fmt.epr "progress[%d]: %s@." seq phase
     in
-    let _id, r = Client.submit_wait ~on_progress c spec in
+    let r =
+      match Client.submit_wait ~on_progress c spec with
+      | Ok (_id, r) -> r
+      | Error (code, message) -> Msg.refused spec ~code ~message
+    in
     Client.close c;
     Cli.print_result ?report:report_file ?blif:out_blif r
   in

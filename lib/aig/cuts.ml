@@ -1,30 +1,58 @@
 type cut = { leaves : int array; tt : Logic.Tt.t }
 
-let cut_function g l leaves =
+(* Working arrays of [cut_function], allocated once per enumeration.
+   Node [id] is a leaf of the current walk when [leaf_stamp.(id) =
+   stamp], at position [leaf_pos.(id)]; its table is memoized in
+   [memo.(id)] when [memo_stamp.(id) = stamp]. Bumping [stamp] clears
+   both. *)
+type walk = {
+  g : Graph.t;
+  mutable stamp : int;
+  leaf_stamp : int array;
+  leaf_pos : int array;
+  memo_stamp : int array;
+  memo : Logic.Tt.t array;
+}
+
+let walk g =
+  let nn = Graph.num_nodes g in
+  { g;
+    stamp = 0;
+    leaf_stamp = Array.make nn 0;
+    leaf_pos = Array.make nn 0;
+    memo_stamp = Array.make nn 0;
+    memo = Array.make nn (Logic.Tt.const_false 0) }
+
+(* Truth table of literal [l] over the ordered [leaves]. All paths from
+   [l] must stop at leaves. *)
+let cut_function w l leaves =
   let n = Array.length leaves in
   assert (n <= 16);
-  let pos = Hashtbl.create 8 in
-  Array.iteri (fun i id -> Hashtbl.replace pos id i) leaves;
-  let memo = Hashtbl.create 32 in
+  w.stamp <- w.stamp + 1;
+  let stamp = w.stamp in
+  Array.iteri
+    (fun i id ->
+      w.leaf_stamp.(id) <- stamp;
+      w.leaf_pos.(id) <- i)
+    leaves;
   let rec go l =
     let id = Graph.node_of_lit l in
     let base =
-      match Hashtbl.find_opt pos id with
-      | Some i -> Logic.Tt.var n i
-      | None -> (
-        match Hashtbl.find_opt memo id with
-        | Some t -> t
-        | None ->
-          let t =
-            if id = 0 then Logic.Tt.const_false n
-            else begin
-              assert (Graph.is_and g id);
-              let f0, f1 = Graph.fanins g id in
-              Logic.Tt.land_ (go f0) (go f1)
-            end
-          in
-          Hashtbl.add memo id t;
-          t)
+      if w.leaf_stamp.(id) = stamp then Logic.Tt.var n w.leaf_pos.(id)
+      else if w.memo_stamp.(id) = stamp then w.memo.(id)
+      else begin
+        let t =
+          if id = 0 then Logic.Tt.const_false n
+          else begin
+            assert (Graph.is_and w.g id);
+            let f0, f1 = Graph.fanins w.g id in
+            Logic.Tt.land_ (go f0) (go f1)
+          end
+        in
+        w.memo_stamp.(id) <- stamp;
+        w.memo.(id) <- t;
+        t
+      end
     in
     if Graph.is_complemented l then Logic.Tt.lnot base else base
   in
@@ -57,6 +85,7 @@ let enumerate g ~k ~per_node =
     { leaves = [| id |]; tt = Logic.Tt.var 1 0 }
   in
   let lv = Graph.levels g in
+  let w = walk g in
   let cut_cost c =
     (* Prefer small cuts with shallow leaves. *)
     let d = Array.fold_left (fun acc id -> max acc lv.(id)) 0 c.leaves in
@@ -82,12 +111,17 @@ let enumerate g ~k ~per_node =
                   not
                     (List.exists (fun c -> c.leaves = leaves) !merged)
                 then begin
-                  let tt = cut_function g (Graph.lit_of_node id false) leaves in
+                  let tt = cut_function w (Graph.lit_of_node id false) leaves in
                   merged := { leaves; tt } :: !merged
                 end)
             c1s)
         c0s;
-      let sorted = List.sort (fun a b -> compare (cut_cost a) (cut_cost b)) !merged in
+      (* Each cost once; the stable sort keeps equal-cost cuts in order. *)
+      let sorted =
+        List.map (fun c -> (cut_cost c, c)) !merged
+        |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+        |> List.map snd
+      in
       let rec take n = function
         | [] -> []
         | _ when n = 0 -> []
@@ -105,7 +139,7 @@ let enumerate g ~k ~per_node =
         if List.exists (fun c -> c.leaves = direct_leaves) kept then kept
         else
           { leaves = direct_leaves;
-            tt = cut_function g (Graph.lit_of_node id false) direct_leaves }
+            tt = cut_function w (Graph.lit_of_node id false) direct_leaves }
           :: kept
       in
       cuts.(id) <- trivial id :: kept

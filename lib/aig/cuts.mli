@@ -16,6 +16,3 @@ type cut = {
     [{n}] is always included. *)
 val enumerate : Graph.t -> k:int -> per_node:int -> cut list array
 
-(** Truth table of literal [l] expressed over the ordered [leaves]
-    (positions in the cut order). All paths from [l] must stop at leaves. *)
-val cut_function : Graph.t -> Graph.lit -> int array -> Logic.Tt.t

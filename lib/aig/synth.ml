@@ -25,6 +25,55 @@ let or_tree g lev lits = tree Graph.bor Graph.const_false g lev lits
 let cube_lits ~leaf c =
   List.map (fun (i, b) -> if b then leaf i else Graph.bnot (leaf i)) (Logic.Cube.literals c)
 
+(* The literal a cover is divided by: the most frequent one, when it
+   occurs at least twice. Literal [(i, b)] counts in slot [2i + b].
+   Among equally frequent literals the winner is the first one that
+   [Hashtbl.iter] would visit in a [Hashtbl.create 16] filled in
+   first-occurrence order: buckets ascending by [Hashtbl.hash (i, b)],
+   the newest key first within a bucket, and 32 buckets once more than
+   32 literals occur. That order decides which nodes get built, so it
+   is part of every output; DESIGN.md §4 states the contract. *)
+let divisor (sop : Logic.Sop.t) =
+  let n = sop.Logic.Sop.n in
+  let count = Array.make (2 * n) 0 and rank = Array.make (2 * n) 0 in
+  let distinct = ref 0 and most = ref 0 in
+  List.iter
+    (fun (c : Logic.Cube.t) ->
+      let rec go m i =
+        if m <> 0 then begin
+          if m land 1 <> 0 then begin
+            let s = (2 * i) + ((c.bits lsr i) land 1) in
+            if count.(s) = 0 then begin
+              rank.(s) <- !distinct;
+              incr distinct
+            end;
+            count.(s) <- count.(s) + 1;
+            if count.(s) > !most then most := count.(s)
+          end;
+          go (m lsr 1) (i + 1)
+        end
+      in
+      go c.mask 0)
+    sop.Logic.Sop.cubes;
+  if !most < 2 then None
+  else begin
+    let buckets = if !distinct > 32 then 32 else 16 in
+    let best = ref (-1) and best_key = ref max_int in
+    Array.iteri
+      (fun s k ->
+        if k = !most then begin
+          let lit = (s lsr 1, s land 1 = 1) in
+          (* Bucket first, then the newest key; [rank.(s) < 2n]. *)
+          let key = ((Hashtbl.hash lit land (buckets - 1)) * 2 * n) - rank.(s) in
+          if key < !best_key then begin
+            best := s;
+            best_key := key
+          end
+        end)
+      count;
+    Some (!best lsr 1, !best land 1 = 1)
+  end
+
 (* Algebraic quick-factoring. Divides the cover by its most frequent
    literal; cubes not containing the literal form the remainder. *)
 let rec factor g lev (sop : Logic.Sop.t) ~leaf =
@@ -32,42 +81,22 @@ let rec factor g lev (sop : Logic.Sop.t) ~leaf =
   | [] -> Graph.const_false
   | [ c ] -> and_tree g lev (cube_lits ~leaf c)
   | cubes ->
-    (* Count literal occurrences. *)
-    let counts = Hashtbl.create 16 in
-    List.iter
-      (fun c ->
-        List.iter
-          (fun litp ->
-            let n = try Hashtbl.find counts litp with Not_found -> 0 in
-            Hashtbl.replace counts litp (n + 1))
-          (Logic.Cube.literals c))
-      cubes;
-    let best = ref None in
-    Hashtbl.iter
-      (fun litp n ->
-        match !best with
-        | Some (_, bn) when bn >= n -> ()
-        | _ -> if n >= 2 then best := Some (litp, n))
-      counts;
-    (match !best with
+    let n = sop.Logic.Sop.n in
+    (match divisor sop with
      | None ->
        (* No sharing: plain sum of cubes. *)
        or_tree g lev (List.map (fun c -> and_tree g lev (cube_lits ~leaf c)) cubes)
-     | Some ((i, b), _) ->
+     | Some (i, b) ->
+       let bit = 1 lsl i in
+       let want = if b then bit else 0 in
        let quotient, remainder =
          List.partition_map
-           (fun c ->
-             let has =
-               List.exists (fun (j, bj) -> j = i && bj = b) (Logic.Cube.literals c)
-             in
-             if has then
-               Left
-                 { Logic.Cube.mask = c.Logic.Cube.mask land lnot (1 lsl i);
-                   bits = c.Logic.Cube.bits land lnot (1 lsl i) }
+           (fun (c : Logic.Cube.t) ->
+             if c.mask land bit <> 0 && c.bits land bit = want then
+               Left { Logic.Cube.mask = c.mask land lnot bit; bits = c.bits land lnot bit }
              else Right c)
            cubes
        in
-       let n = sop.Logic.Sop.n in
        let q = factor g lev (Logic.Sop.make n quotient) ~leaf in
        let div_lit = if b then leaf i else Graph.bnot (leaf i) in
        let l = Graph.band g div_lit q in

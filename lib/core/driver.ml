@@ -571,9 +571,13 @@ let optimize_with_stats ?(options = default) g0 =
   (* Outer loop: alternate decomposition with conventional delay
      rewriting. Decomposition must come first — rewriting can obscure the
      regular structure the window search exploits. *)
+  let input = g and polished_input = ref None in
   let rec outer budget g rr touched =
     let g1, r, n = rounds 0 g 0 in
     let g2 = polish g1 in
+    (* Rounds that leave the balanced input itself have just polished
+       it: keep that polish as [conventional] below. *)
+    if g1 == input then polished_input := Some g2;
     let g' = if Aig.depth g2 <= Aig.depth g1 then g2 else g1 in
     if budget > 0 && Aig.depth g' < Aig.depth g
        && not (Guard.Deadline.expired deadline)
@@ -583,7 +587,9 @@ let optimize_with_stats ?(options = default) g0 =
   let best, rounds_run, outputs_decomposed = outer 3 g 0 0 in
   (* Never lose to plain conventional rewriting: when no useful
      decomposition exists, fall back to the polished circuit. *)
-  let conventional = polish g in
+  let conventional =
+    match !polished_input with Some p -> p | None -> polish g
+  in
   let best =
     if
       Aig.depth conventional < Aig.depth best

@@ -77,27 +77,32 @@ let submit_wait ?(on_progress = fun ~phase:_ ~seq:_ -> ()) t spec =
   send t (Msg.Submit spec);
   let deferred = ref [] in
   let stash r = deferred := r :: !deferred in
-  let id =
+  let admitted =
     recv_where t
       (function
-        | Msg.Submitted { id; _ } -> Some id
-        | Msg.Error_reply { code; message } ->
-          failwith (Printf.sprintf "submit rejected (%s): %s" code message)
+        | Msg.Submitted { id; _ } -> Some (Ok id)
+        | Msg.Error_reply { code; message } -> Some (Error (code, message))
         | _ -> None)
       stash
   in
-  let result =
-    recv_where t
-      (function
-        | Msg.Result r when r.Msg.id = id -> Some r
-        | _ -> None)
-      (function
-        | Msg.Progress { id = pid; phase; seq } when pid = id ->
-          on_progress ~phase ~seq
-        | r -> stash r)
+  let outcome =
+    Result.map
+      (fun id ->
+        let result =
+          recv_where t
+            (function
+              | Msg.Result r when r.Msg.id = id -> Some r
+              | _ -> None)
+            (function
+              | Msg.Progress { id = pid; phase; seq } when pid = id ->
+                on_progress ~phase ~seq
+              | r -> stash r)
+        in
+        (id, result))
+      admitted
   in
   t.inbox <- List.rev !deferred @ t.inbox;
-  (id, result)
+  outcome
 
 let stats t =
   send t Msg.Stats;

@@ -18,13 +18,13 @@ val recv : t -> Msg.response
     {!Msg.Result} arrives, feeding any of its progress events to
     [on_progress] and stashing interleaved responses for other jobs
     (they are delivered by later [recv]/[submit_wait] calls on this
-    client). Returns the job id and the result. Raises [Failure] if
-    the server answers the submission with an error. *)
+    client). Returns the job id and the result, or [Error (code,
+    message)] when the server refuses the submission. *)
 val submit_wait :
   ?on_progress:(phase:string -> seq:int -> unit) ->
   t ->
   Msg.submit ->
-  int * Msg.result
+  (int * Msg.result, string * string) result
 
 (** Convenience wrappers; each raises [Failure] on an error reply. *)
 val stats : t -> Msg.server_stats

@@ -278,19 +278,7 @@ let run_cold spec =
     Obs.Journal.record ~kind:"job.rejected"
       ~sched:(Obs.Json.Obj [ ("code", Obs.Json.String code) ])
       ();
-    {
-      Msg.id = 0;
-      circuit = Msg.source_name spec.Msg.source;
-      tool = spec.Msg.tool;
-      state = Msg.Failed;
-      metrics = None;
-      degraded = false;
-      error = Some (code ^ ": " ^ msg);
-      blif = None;
-      report = None;
-      wait_ms = 0.0;
-      run_ms = 0.0;
-    }
+    Msg.refused spec ~code ~message:msg
   | Ok rules ->
     journal_admitted spec;
     let r, _, _ =

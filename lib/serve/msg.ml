@@ -103,6 +103,21 @@ type result = {
   run_ms : float;
 }
 
+let refused spec ~code ~message =
+  {
+    id = 0;
+    circuit = source_name spec.source;
+    tool = spec.tool;
+    state = Failed;
+    metrics = None;
+    degraded = false;
+    error = Some (code ^ ": " ^ message);
+    blif = None;
+    report = None;
+    wait_ms = 0.0;
+    run_ms = 0.0;
+  }
+
 type slo_stat = {
   cls : string;
   objective_ms : float;

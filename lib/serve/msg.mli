@@ -101,6 +101,10 @@ type result = {
   run_ms : float;  (** execution wall clock *)
 }
 
+(** [refused spec ~code ~message] is the [Failed] result of a job that
+    never ran: refused at admission, [error] = ["CODE: MESSAGE"]. *)
+val refused : submit -> code:string -> message:string -> result
+
 (** Rolling latency-objective health for one job size class (see
     {!Telemetry}): lifetime breach counts plus a bounded window of the
     most recent outcomes, and log-bucket-interpolated latency

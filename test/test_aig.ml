@@ -227,37 +227,193 @@ let test_bench_loop () =
         (Aig.Io.read_bench
            "INPUT(a)\nOUTPUT(z)\ny = AND(a, z)\nz = AND(y, a)\n"))
 
+(* [Cuts]' cone walk as it was before stamp arrays: a Hashtbl of leaf
+   positions and a Hashtbl memo, from the root down to the leaves. The
+   oracle for every enumerated cut's table. *)
+let reference_cut_function g l leaves =
+  let n = Array.length leaves in
+  let pos = Hashtbl.create 8 in
+  Array.iteri (fun i id -> Hashtbl.replace pos id i) leaves;
+  let memo = Hashtbl.create 32 in
+  let rec go l =
+    let id = Aig.node_of_lit l in
+    let base =
+      match Hashtbl.find_opt pos id with
+      | Some i -> Tt.var n i
+      | None -> (
+        match Hashtbl.find_opt memo id with
+        | Some t -> t
+        | None ->
+          let t =
+            if id = 0 then Tt.const_false n
+            else
+              let f0, f1 = Aig.fanins g id in
+              Tt.land_ (go f0) (go f1)
+          in
+          Hashtbl.add memo id t;
+          t)
+    in
+    if Aig.is_complemented l then Tt.lnot base else base
+  in
+  go l
+
+(* Every cut's table, at k = 4, 6 and 8: equal to the reference walk over
+   the same leaves, and consistent with the node's global function. *)
 let prop_cut_functions =
   qtest ~count:25 "cut functions match node function" gen_seed (fun seed ->
-      let g = random_aig ~inputs:6 ~gates:40 seed in
-      let cuts = Aig.Cuts.enumerate g ~k:4 ~per_node:5 in
-      let ok = ref true in
-      for id = 1 to Aig.num_nodes g - 1 do
-        if Aig.is_and g id then begin
-          let node_tt = Aig.tt_of_lit g (Aig.lit_of_node id false) in
-          List.iter
-            (fun (c : Aig.Cuts.cut) ->
-              (* Substitute each leaf's global function into the cut tt and
-                 compare against the node's global function. *)
-              let global = ref (Tt.const_false 6) in
-              let n_leaves = Array.length c.leaves in
-              let leaf_tts =
-                Array.map (fun lid -> Aig.tt_of_lit g (Aig.lit_of_node lid false)) c.leaves
-              in
-              let expand m =
-                (* Evaluate cut tt on the leaf functions at input minterm m *)
-                let idx = ref 0 in
-                for i = 0 to n_leaves - 1 do
-                  if Tt.get_bit leaf_tts.(i) m then idx := !idx lor (1 lsl i)
-                done;
-                Tt.get_bit c.tt !idx
-              in
-              global := Tt.of_fun 6 expand;
-              if not (Tt.equal !global node_tt) then ok := false)
-            cuts.(id)
-        end
-      done;
-      !ok)
+      List.for_all
+        (fun (k, inputs) ->
+          let g = random_aig ~inputs ~gates:60 seed in
+          let cuts = Aig.Cuts.enumerate g ~k ~per_node:5 in
+          let ok = ref true in
+          for id = 1 to Aig.num_nodes g - 1 do
+            if Aig.is_and g id then begin
+              let root = Aig.lit_of_node id false in
+              let node_tt = Aig.tt_of_lit g root in
+              List.iter
+                (fun (c : Aig.Cuts.cut) ->
+                  if not (Tt.equal c.tt (reference_cut_function g root c.leaves))
+                  then ok := false;
+                  (* Substitute each leaf's global function into the cut tt
+                     and compare against the node's global function. *)
+                  let leaf_tts =
+                    Array.map
+                      (fun lid -> Aig.tt_of_lit g (Aig.lit_of_node lid false))
+                      c.leaves
+                  in
+                  let expand m =
+                    let idx = ref 0 in
+                    Array.iteri
+                      (fun i t -> if Tt.get_bit t m then idx := !idx lor (1 lsl i))
+                      leaf_tts;
+                    Tt.get_bit c.tt !idx
+                  in
+                  if not (Tt.equal (Tt.of_fun inputs expand) node_tt) then ok := false)
+                cuts.(id)
+            end
+          done;
+          !ok)
+        [ (4, 6); (6, 8); (8, 10) ])
+
+(* [Synth.divisor]'s oracle: the divisor choice before it moved to
+   arrays, on an unseeded table so that [OCAMLRUNPARAM=R] cannot reorder
+   it. The first literal in [Hashtbl.iter] order with the largest count
+   >= 2 wins. *)
+let reference_divisor (sop : Logic.Sop.t) =
+  let counts = Hashtbl.create ~random:false 16 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun litp ->
+          let n = try Hashtbl.find counts litp with Not_found -> 0 in
+          Hashtbl.replace counts litp (n + 1))
+        (Logic.Cube.literals c))
+    sop.cubes;
+  let best = ref None in
+  Hashtbl.iter
+    (fun litp n ->
+      match !best with
+      | Some (_, bn) when bn >= n -> ()
+      | _ -> if n >= 2 then best := Some (litp, n))
+    counts;
+  Option.map fst !best
+
+(* Quick-factoring as it was, on [reference_divisor]: the oracle for the
+   nodes [Synth] builds and the order it calls [leaf] in. *)
+let rec reference_factor g lev (sop : Logic.Sop.t) ~leaf =
+  let cube_lits c =
+    List.map
+      (fun (i, b) -> if b then leaf i else Aig.bnot (leaf i))
+      (Logic.Cube.literals c)
+  in
+  match sop.cubes with
+  | [] -> Aig.const_false
+  | [ c ] -> Aig.Synth.and_tree g lev (cube_lits c)
+  | cubes -> (
+    match reference_divisor sop with
+    | None ->
+      Aig.Synth.or_tree g lev
+        (List.map (fun c -> Aig.Synth.and_tree g lev (cube_lits c)) cubes)
+    | Some (i, b) -> (
+      let quotient, remainder =
+        List.partition_map
+          (fun c ->
+            if List.mem (i, b) (Logic.Cube.literals c) then
+              Left
+                { Logic.Cube.mask = c.Logic.Cube.mask land lnot (1 lsl i);
+                  bits = c.Logic.Cube.bits land lnot (1 lsl i) }
+            else Right c)
+          cubes
+      in
+      let q = reference_factor g lev (Logic.Sop.make sop.n quotient) ~leaf in
+      let div_lit = if b then leaf i else Aig.bnot (leaf i) in
+      let l = Aig.band g div_lit q in
+      match remainder with
+      | [] -> l
+      | _ ->
+        Aig.bor g l (reference_factor g lev (Logic.Sop.make sop.n remainder) ~leaf)))
+
+let reference_of_tt g lev tt ~leaf =
+  if Tt.is_const_false tt then Aig.const_false
+  else if Tt.is_const_true tt then Aig.const_true
+  else begin
+    let on, off = Logic.Minimize.min_sops tt in
+    let pos = reference_factor g lev on ~leaf in
+    let neg = Aig.bnot (reference_factor g lev off ~leaf) in
+    let lp = Aig.Lev.level lev pos and ln = Aig.Lev.level lev neg in
+    if lp < ln then pos else if ln < lp then neg else pos
+  end
+
+(* A random cover: 1-30 variables, 1-40 cubes, each variable bound with a
+   per-cover probability, so that wide covers exceed 32 distinct
+   literals (the reference table's resize) and narrow ones tie often. *)
+let random_cover seed =
+  let st = Random.State.make [| seed; 21 |] in
+  let n = 1 + Random.State.int st 30 and m = 1 + Random.State.int st 40 in
+  let density = 1 + Random.State.int st 9 in
+  let cube () =
+    let mask = ref 0 and bits = ref 0 in
+    for i = 0 to n - 1 do
+      if Random.State.int st 10 < density then begin
+        mask := !mask lor (1 lsl i);
+        if Random.State.bool st then bits := !bits lor (1 lsl i)
+      end
+    done;
+    { Logic.Cube.mask = !mask; bits = !bits }
+  in
+  Logic.Sop.make n (List.init m (fun _ -> cube ()))
+
+let prop_divisor =
+  qtest ~count:500 "synth: divisor matches the hashtable order" gen_seed
+    (fun seed ->
+      let sop = random_cover seed in
+      Aig.Synth.divisor sop = reference_divisor sop)
+
+(* Builds with [build] into a fresh graph over [n] inputs, recording
+   every [leaf] call: the order reaches node ids when a caller's [leaf]
+   creates nodes, as [Lookahead.Reconstruct]'s does. *)
+let record_leaves n build =
+  let g = Aig.create () in
+  let ins = Array.init n (fun _ -> Aig.add_input g) in
+  let calls = ref [] in
+  let leaf i =
+    calls := i :: !calls;
+    ins.(i)
+  in
+  let l = build g (Aig.Lev.create g) ~leaf in
+  (List.rev !calls, l, Aig.num_nodes g)
+
+let prop_leaf_order =
+  qtest ~count:200 "synth: leaf calls and nodes match the reference" gen_seed
+    (fun seed ->
+      let sop = random_cover seed in
+      let tt = Tt.random (Random.State.make [| seed; 8 |]) (1 + (seed mod 8)) in
+      record_leaves sop.n (fun g lev ~leaf -> Aig.Synth.of_sop g lev sop ~leaf)
+      = record_leaves sop.n (fun g lev ~leaf -> reference_factor g lev sop ~leaf)
+      && record_leaves (Tt.num_vars tt) (fun g lev ~leaf ->
+             Aig.Synth.of_tt g lev tt ~leaf)
+         = record_leaves (Tt.num_vars tt) (fun g lev ~leaf ->
+               reference_of_tt g lev tt ~leaf))
 
 let prop_support =
   qtest "support_of_lit sound" gen_seed (fun seed ->
@@ -319,6 +475,8 @@ let () =
           prop_sweep_equiv;
           prop_cut_functions;
           prop_of_tt_wide;
+          prop_divisor;
+          prop_leaf_order;
           prop_resub_equiv;
           Alcotest.test_case "resub shortcut" `Quick test_resub_finds_shortcut;
         ] );

@@ -952,7 +952,11 @@ let test_server_end_to_end () =
           want_blif = true;
         }
       in
-      let _, r = Serve.Client.submit_wait c spec in
+      let r =
+        match Serve.Client.submit_wait c spec with
+        | Ok (_, r) -> r
+        | Error (code, message) -> Alcotest.failf "refused: %s: %s" code message
+      in
       Alcotest.(check bool) "job done over the socket" true
         (r.Msg.state = Msg.Done);
       Alcotest.(check bool) "metrics delivered" true (r.Msg.metrics <> None);
