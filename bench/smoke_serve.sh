@@ -4,16 +4,16 @@
 # clean job and one fault-injected job, assert a well-formed success
 # and a well-formed degradation response, scrape and validate the
 # telemetry surfaces (metrics exposition, per-job trace, top, journal
-# JSONL), check that a combinational-loop BLIF fails cleanly and a
-# clean job still runs after it, then shut the server down and require
-# it to exit cleanly. Then a fresh `-j 2` server must complete a
-# portfolio job as its very first job. Last, the one-shot
-# `lookahead_opt opt`, which runs the same job path cold, must fail the
-# loop BLIF the same typed way (exit 1, `job failed:`), report an
-# injected fault as `degraded: yes`, and pass `--check`; and bad
-# front-end input (two circuit sources on `opt` or `submit`, an
-# unknown circuit or tool on `timing`) must end in a typed error, never
-# in an uncaught exception.
+# JSONL) and the refusal of an unknown trace id, check that a
+# combinational-loop BLIF fails cleanly and a clean job still runs
+# after it, then shut the server down and require it to exit cleanly.
+# Then a fresh `-j 2` server must complete a portfolio job as its very
+# first job. Last, the one-shot `lookahead_opt opt`, which runs the
+# same job path cold, must fail the loop BLIF the same typed way (exit
+# 1, `job failed:`), report an injected fault as `degraded: yes`, and
+# pass `--check`; and bad front-end input (two circuit sources on `opt`
+# or `submit`, an unknown circuit or tool on `timing`) must end in a
+# typed error, never in an uncaught exception.
 #
 # This is the cheap always-on CI check; the full warm-vs-cold identity
 # and telemetry gates live in check_regression.sh (gates 7 and 9), and
@@ -133,6 +133,10 @@ dune exec bin/lookahead_serve.exe -- trace -s "$sock" 1 \
   echo "smoke_serve: FAIL — trace request for job 1 failed" >&2; fail=1; }
 dune exec bench/main.exe -- check-trace "$out/trace1.json" >/dev/null || {
   echo "smoke_serve: FAIL — retained job trace is malformed" >&2; fail=1; }
+# A trace id the server never ran is a refusal printed as `status`
+# prints one (exit 1), not an uncaught exception.
+expect_exit 1 '^error (no_trace):' trace_unknown \
+  dune exec bin/lookahead_serve.exe -- trace -s "$sock" 999
 
 # Live view, single CI iteration: plain output, must include the SLO
 # table header.

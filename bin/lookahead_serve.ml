@@ -187,15 +187,20 @@ let print_status id state position =
   | Some p -> Fmt.pr "job %d: %s (position %d)@." id (Msg.state_name state) p
   | None -> Fmt.pr "job %d: %s@." id (Msg.state_name state)
 
+(* A refusal from the server: [error (code): message], exit 1. *)
+let or_exit = function
+  | Ok v -> v
+  | Error (code, message) ->
+    Fmt.epr "error (%s): %s@." code message;
+    exit 1
+
 let simple_rpc socket tcp req handle =
   let c = Client.connect (listen_of socket tcp) in
   Client.send c req;
   let resp = Client.recv c in
   Client.close c;
   match resp with
-  | Msg.Error_reply { code; message } ->
-    Fmt.epr "error (%s): %s@." code message;
-    exit 1
+  | Msg.Error_reply { code; message } -> or_exit (Error (code, message))
   | resp -> handle resp
 
 let status_cmd =
@@ -251,7 +256,7 @@ let pp_stats ppf (s : Msg.server_stats) =
 let stats_cmd =
   let run socket tcp =
     let c = Client.connect (listen_of socket tcp) in
-    let s = Client.stats c in
+    let s = or_exit (Client.stats c) in
     Client.close c;
     Fmt.pr "%a" pp_stats s
   in
@@ -277,7 +282,7 @@ let metrics_cmd =
   in
   let run socket tcp json out =
     let c = Client.connect (listen_of socket tcp) in
-    let text, j = Client.metrics c in
+    let text, j = or_exit (Client.metrics c) in
     Client.close c;
     let payload =
       if json then Obs.Json.to_string j ^ "\n" else text
@@ -296,7 +301,7 @@ let metrics_cmd =
 let trace_cmd =
   let run socket tcp id out =
     let c = Client.connect (listen_of socket tcp) in
-    let tr = Client.job_trace c id in
+    let tr = or_exit (Client.job_trace c id) in
     Client.close c;
     let payload = Obs.Json.to_string tr ^ "\n" in
     match out with
@@ -326,7 +331,7 @@ let top_cmd =
   let run socket tcp interval iterations =
     let c = Client.connect (listen_of socket tcp) in
     let rec go i =
-      let s = Client.stats c in
+      let s = or_exit (Client.stats c) in
       (* Clear + home only when looping; a single iteration (CI) keeps
          plain, greppable output. *)
       if iterations <> 1 then print_string "\027[2J\027[H";
@@ -350,7 +355,7 @@ let top_cmd =
 let shutdown_cmd =
   let run socket tcp =
     let c = Client.connect (listen_of socket tcp) in
-    Client.shutdown c;
+    or_exit (Client.shutdown c);
     Client.close c
   in
   Cmd.v

@@ -1,5 +1,3 @@
-type cut = { leaves : int array; tt : Logic.Tt.t }
-
 (* Working arrays of [cut_function], allocated once per enumeration.
    Node [id] is a leaf of the current walk when [leaf_stamp.(id) =
    stamp], at position [leaf_pos.(id)]; its table is memoized in
@@ -58,6 +56,28 @@ let cut_function w l leaves =
   in
   go l
 
+(* A cut's table is walked on its first read: most merged cuts are
+   dropped by per-node pruning, and a cover reads one cut per node. The
+   walk, not a composition of the fanin cuts' tables, because a leaf of
+   one fanin's cut may lie inside the other fanin's cone; the walk stops
+   there and composition would not. *)
+type cut = {
+  leaves : int array;
+  root : int;
+  walk : walk;
+  mutable table : Logic.Tt.t option;
+}
+
+let leaves c = c.leaves
+
+let tt c =
+  match c.table with
+  | Some t -> t
+  | None ->
+    let t = cut_function c.walk (Graph.lit_of_node c.root false) c.leaves in
+    c.table <- Some t;
+    t
+
 let merge_leaves k a b =
   (* Merge two sorted arrays; None when the union exceeds k. *)
   let la = Array.length a and lb = Array.length b in
@@ -81,11 +101,13 @@ let merge_leaves k a b =
 let enumerate g ~k ~per_node =
   let nn = Graph.num_nodes g in
   let cuts = Array.make nn [] in
+  let w = walk g in
+  let cut root leaves = { leaves; root; walk = w; table = None } in
   let trivial id =
-    { leaves = [| id |]; tt = Logic.Tt.var 1 0 }
+    { leaves = [| id |]; root = id; walk = w;
+      table = Some (Logic.Tt.var 1 0) }
   in
   let lv = Graph.levels g in
-  let w = walk g in
   let cut_cost c =
     (* Prefer small cuts with shallow leaves. *)
     let d = Array.fold_left (fun acc id -> max acc lv.(id)) 0 c.leaves in
@@ -110,10 +132,7 @@ let enumerate g ~k ~per_node =
                 if
                   not
                     (List.exists (fun c -> c.leaves = leaves) !merged)
-                then begin
-                  let tt = cut_function w (Graph.lit_of_node id false) leaves in
-                  merged := { leaves; tt } :: !merged
-                end)
+                then merged := cut id leaves :: !merged)
             c1s)
         c0s;
       (* Each cost once; the stable sort keeps equal-cost cuts in order. *)
@@ -137,10 +156,7 @@ let enumerate g ~k ~per_node =
       in
       let kept =
         if List.exists (fun c -> c.leaves = direct_leaves) kept then kept
-        else
-          { leaves = direct_leaves;
-            tt = cut_function w (Graph.lit_of_node id false) direct_leaves }
-          :: kept
+        else cut id direct_leaves :: kept
       in
       cuts.(id) <- trivial id :: kept
     end

@@ -5,14 +5,21 @@
     ({!Rewrite}) and the clustering step that builds the
     technology-independent network (the paper's `renode`). *)
 
-type cut = {
-  leaves : int array;  (** node ids, sorted ascending *)
-  tt : Logic.Tt.t;  (** function of the root in terms of the leaves *)
-}
+type cut
+
+(** Node ids, sorted ascending. *)
+val leaves : cut -> int array
+
+(** Function of the root in terms of the leaves. Computed on the first
+    read by a walk of the root's cone down to the leaves, and kept: a
+    cut that is never read costs no table. The walk's scratch arrays
+    are shared by every cut of one enumeration, so read the tables of
+    one enumeration on the domain that made it. *)
+val tt : cut -> Logic.Tt.t
 
 (** [enumerate g ~k ~per_node] computes for each node a list of cuts with
     at most [k] leaves, keeping at most [per_node] non-trivial cuts per
     node. Index of the result is the node id; the trivial cut
-    [{n}] is always included. *)
+    [{n}] is always included. No table is computed here. *)
 val enumerate : Graph.t -> k:int -> per_node:int -> cut list array
 

@@ -23,14 +23,15 @@ let run ?(k = 5) ?(per_node = 6) ~objective src =
       let default = Graph.band dst (translate_lit f0) (translate_lit f1) in
       let candidates =
         List.filter_map
-          (fun (c : Cuts.cut) ->
-            if Array.length c.leaves < 3 then None
-            else if Array.exists (fun lid -> not (Hashtbl.mem map lid)) c.leaves
+          (fun c ->
+            let leaves = Cuts.leaves c in
+            if Array.length leaves < 3 then None
+            else if Array.exists (fun lid -> not (Hashtbl.mem map lid)) leaves
             then None
             else begin
               let before = Graph.num_nodes dst in
-              let leaf i = Hashtbl.find map c.leaves.(i) in
-              let cand = Synth.of_tt dst lev c.tt ~leaf in
+              let leaf i = Hashtbl.find map leaves.(i) in
+              let cand = Synth.of_tt dst lev (Cuts.tt c) ~leaf in
               let added = Graph.num_nodes dst - before in
               Some (cand, Lev.level lev cand, added)
             end)

@@ -258,6 +258,16 @@ let[@inline] cof man v e =
     let c = e land 1 in
     (man.lo_.(id) lxor c, man.hi_.(id) lxor c)
 
+(* The two halves of [cof], for walks that need no pair: the high
+   cofactors are read only when the low ones ask for them. *)
+let[@inline] cof_lo man v e =
+  let id = e lsr 1 in
+  if man.var_.(id) <> v then e else man.lo_.(id) lxor (e land 1)
+
+let[@inline] cof_hi man v e =
+  let id = e lsr 1 in
+  if man.var_.(id) <> v then e else man.hi_.(id) lxor (e land 1)
+
 (* ------------------------------------------------------------------ *)
 (* ite and the derived connectives.                                    *)
 (* ------------------------------------------------------------------ *)
@@ -305,7 +315,38 @@ let ite man f g h =
 let band man f g = ite man f g 1
 let bor man f g = ite man f 0 g
 let bxor man f g = ite man f (g lxor 1) g
-let implies man f g = ite man f g 0 = 0
+
+(* [f ∧ g = 0] by a joint cofactor walk that builds no node: it returns
+   at the first path on which both are true. Verdicts share the ite
+   cache under the ordered pair and a third key of -2; an ite triple's
+   third key is an edge, never negative. *)
+let disjoint_key = -2
+
+let rec disjoint_rec man f g =
+  if f = 1 || g = 1 || f = g lxor 1 then true
+  else if f = 0 || g = 0 || f = g then false
+  else begin
+    let f, g = if f < g then (f, g) else (g, f) in
+    let r = cache_find man.ite_cache f g disjoint_key in
+    if r >= 0 then r = 1
+    else begin
+      let v = min (topvar man f) (topvar man g) in
+      let d =
+        disjoint_rec man (cof_lo man v f) (cof_lo man v g)
+        && disjoint_rec man (cof_hi man v f) (cof_hi man v g)
+      in
+      cache_put man.ite_cache f g disjoint_key (if d then 1 else 0);
+      d
+    end
+  end
+
+(* One tick at [band]'s site: a test that replaces [is_false (band f g)]
+   keeps injected faults on the same calls. *)
+let disjoint man f g =
+  Guard.tick_bdd man.guard ~site:"bdd.ite";
+  disjoint_rec man f g
+
+let implies man f g = disjoint man f (g lxor 1)
 
 (* ------------------------------------------------------------------ *)
 (* Cofactor, composition, quantification.                              *)

@@ -51,7 +51,14 @@ val equal : t -> t -> bool
 val is_false : man -> t -> bool
 val is_true : man -> t -> bool
 
-(** [implies m f g] decides [f <= g]. *)
+(** [disjoint m f g] decides [f ∧ g = 0] without building the
+    conjunction: a joint cofactor walk that allocates no node and stops
+    at the first path on which both are true. Verdicts are cached in
+    the ite cache; the call ticks the guard once, at [band]'s site
+    ([bdd.ite]), so it can stand in for [is_false m (band m f g)]. *)
+val disjoint : man -> t -> t -> bool
+
+(** [implies m f g] decides [f <= g], as [disjoint m f (bnot m g)]. *)
 val implies : man -> t -> t -> bool
 
 (** [restrict m f i b] is the cofactor of [f] with [x_i = b]. *)

@@ -1,5 +1,6 @@
 (* Local don't-cares: the minterms of the node's fanin space whose
-   global image misses the care set. One BDD product per minterm; the
+   global image misses the care set. One BDD product per minterm and a
+   disjointness test against the care set, which builds no node; the
    polarity choice below is the only other step. *)
 let resimplify man ~globals ~care ~levels ?(by_literals = false) net id =
   let nd = Network.node net id in
@@ -7,7 +8,7 @@ let resimplify man ~globals ~care ~levels ?(by_literals = false) net id =
   let dc = ref (Logic.Tt.const_false k) in
   for m = 0 to (1 lsl k) - 1 do
     let image = Network.Globals.minterm_image man globals net id m in
-    if Bdd.is_false man (Bdd.band man image care) then
+    if Bdd.disjoint man image care then
       dc := Logic.Tt.lor_ !dc (Logic.Tt.of_minterms k [ m ])
   done;
   if Logic.Tt.is_const_false !dc then None

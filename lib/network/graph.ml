@@ -199,11 +199,14 @@ let of_aig ?(k = 6) g =
   let best_cut : Aig.Cuts.cut option array = Array.make nn None in
   for id = 1 to nn - 1 do
     if Aig.is_and g id then begin
-      let eval_cut (c : Aig.Cuts.cut) =
-        Array.fold_left (fun acc leaf -> max acc arrival.(leaf)) 0 c.leaves + 1
+      let eval_cut c =
+        Array.fold_left
+          (fun acc leaf -> max acc arrival.(leaf))
+          0 (Aig.Cuts.leaves c)
+        + 1
       in
       let candidates =
-        List.filter (fun (c : Aig.Cuts.cut) -> c.leaves <> [| id |]) cuts.(id)
+        List.filter (fun c -> Aig.Cuts.leaves c <> [| id |]) cuts.(id)
       in
       let best =
         List.fold_left
@@ -214,7 +217,9 @@ let of_aig ?(k = 6) g =
             | Some (bc, ba) ->
               if
                 a < ba
-                || (a = ba && Array.length c.leaves < Array.length bc.leaves)
+                || (a = ba
+                   && Array.length (Aig.Cuts.leaves c)
+                      < Array.length (Aig.Cuts.leaves bc))
               then Some (c, a)
               else acc)
           None candidates
@@ -242,8 +247,8 @@ let of_aig ?(k = 6) g =
       | Some nid -> nid
       | None ->
         let c = match best_cut.(id) with Some c -> c | None -> assert false in
-        let fanin_ids = Array.map require c.leaves in
-        let nid = add_node net fanin_ids c.tt in
+        let fanin_ids = Array.map require (Aig.Cuts.leaves c) in
+        let nid = add_node net fanin_ids (Aig.Cuts.tt c) in
         Hashtbl.replace map id nid;
         nid
   in

@@ -104,59 +104,34 @@ let submit_wait ?(on_progress = fun ~phase:_ ~seq:_ -> ()) t spec =
   t.inbox <- List.rev !deferred @ t.inbox;
   outcome
 
-let stats t =
-  send t Msg.Stats;
+(* One request whose reply [want] recognizes; an [Error_reply] is the
+   server's refusal, returned as a value. Responses for other jobs are
+   stashed for later delivery. *)
+let request t req want =
+  send t req;
   let deferred = ref [] in
-  let s =
+  let reply =
     recv_where t
       (function
-        | Msg.Stats_reply s -> Some s
-        | Msg.Error_reply { code; message } ->
-          failwith (Printf.sprintf "stats failed (%s): %s" code message)
-        | _ -> None)
+        | Msg.Error_reply { code; message } -> Some (Error (code, message))
+        | r -> Option.map Result.ok (want r))
       (fun r -> deferred := r :: !deferred)
   in
   t.inbox <- List.rev !deferred @ t.inbox;
-  s
+  reply
+
+let stats t =
+  request t Msg.Stats (function Msg.Stats_reply s -> Some s | _ -> None)
 
 let metrics t =
-  send t Msg.Metrics;
-  let deferred = ref [] in
-  let m =
-    recv_where t
-      (function
-        | Msg.Metrics_reply { text; json } -> Some (text, json)
-        | Msg.Error_reply { code; message } ->
-          failwith (Printf.sprintf "metrics failed (%s): %s" code message)
-        | _ -> None)
-      (fun r -> deferred := r :: !deferred)
-  in
-  t.inbox <- List.rev !deferred @ t.inbox;
-  m
+  request t Msg.Metrics (function
+    | Msg.Metrics_reply { text; json } -> Some (text, json)
+    | _ -> None)
 
 let job_trace t id =
-  send t (Msg.Trace id);
-  let deferred = ref [] in
-  let tr =
-    recv_where t
-      (function
-        | Msg.Trace_reply { id = rid; trace } when rid = id -> Some trace
-        | Msg.Error_reply { code; message } ->
-          failwith (Printf.sprintf "trace failed (%s): %s" code message)
-        | _ -> None)
-      (fun r -> deferred := r :: !deferred)
-  in
-  t.inbox <- List.rev !deferred @ t.inbox;
-  tr
+  request t (Msg.Trace id) (function
+    | Msg.Trace_reply { id = rid; trace } when rid = id -> Some trace
+    | _ -> None)
 
 let shutdown t =
-  send t Msg.Shutdown;
-  let deferred = ref [] in
-  recv_where t
-    (function
-      | Msg.Shutdown_ack -> Some ()
-      | Msg.Error_reply { code; message } ->
-        failwith (Printf.sprintf "shutdown failed (%s): %s" code message)
-      | _ -> None)
-    (fun r -> deferred := r :: !deferred);
-  t.inbox <- List.rev !deferred @ t.inbox
+  request t Msg.Shutdown (function Msg.Shutdown_ack -> Some () | _ -> None)

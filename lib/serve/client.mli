@@ -26,15 +26,16 @@ val submit_wait :
   Msg.submit ->
   (int * Msg.result, string * string) result
 
-(** Convenience wrappers; each raises [Failure] on an error reply. *)
-val stats : t -> Msg.server_stats
+(** Convenience wrappers. Each returns the server's refusal as [Error
+    (code, message)], as {!submit_wait} does. *)
+val stats : t -> (Msg.server_stats, string * string) result
 
 (** Scrape the live metrics endpoint: Prometheus-style text exposition
     plus its JSON mirror. *)
-val metrics : t -> string * Obs.Json.t
+val metrics : t -> (string * Obs.Json.t, string * string) result
 
-(** Retrieve the retained Chrome-trace slice of a finished job. Raises
-    [Failure] (code [no_trace]) for unknown or evicted ids. *)
-val job_trace : t -> int -> Obs.Json.t
+(** Retrieve the retained Chrome-trace slice of a finished job; [Error]
+    with code [no_trace] for unknown or evicted ids. *)
+val job_trace : t -> int -> (Obs.Json.t, string * string) result
 
-val shutdown : t -> unit
+val shutdown : t -> (unit, string * string) result

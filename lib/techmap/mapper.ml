@@ -98,15 +98,16 @@ let map g =
   for id = 1 to nn - 1 do
     if Aig.is_and g id then begin
       List.iter
-        (fun (c : Aig.Cuts.cut) ->
-          if Array.length c.leaves >= 1 && c.leaves <> [| id |] then begin
+        (fun c ->
+          let leaves = Aig.Cuts.leaves c in
+          if Array.length leaves >= 1 && leaves <> [| id |] then begin
             let try_phase tt inverted =
               List.iter
                 (fun (v : variant) ->
                   let worst = ref 0.0 in
                   Array.iteri
                     (fun i leaf_pos ->
-                      let leaf = c.leaves.(leaf_pos) in
+                      let leaf = leaves.(leaf_pos) in
                       let inv = (v.phases lsr i) land 1 = 1 in
                       let a = arrival.(idx leaf inv) in
                       if a > !worst then worst := a)
@@ -114,12 +115,13 @@ let map g =
                   let a = !worst +. v.cell.Library.intrinsic in
                   if a < arrival.(idx id inverted) then begin
                     arrival.(idx id inverted) <- a;
-                    choice.(idx id inverted) <- Match (v, c.leaves)
+                    choice.(idx id inverted) <- Match (v, leaves)
                   end)
                 (matches_for tt)
             in
-            try_phase c.tt false;
-            try_phase (Logic.Tt.lnot c.tt) true
+            let tt = Aig.Cuts.tt c in
+            try_phase tt false;
+            try_phase (Logic.Tt.lnot tt) true
           end)
         cuts.(id);
       (* Phase relaxation through inverters, both directions. *)

@@ -258,41 +258,53 @@ let reference_cut_function g l leaves =
   go l
 
 (* Every cut's table, at k = 4, 6 and 8: equal to the reference walk over
-   the same leaves, and consistent with the node's global function. *)
+   the same leaves, and consistent with the node's global function.
+   Tables are computed on first read, so the kept cuts of all roots are
+   read in a shuffled order after enumeration: consecutive reads belong
+   to unrelated roots, and a walk that trusted a stale stamp or memo
+   entry would return the previous root's table. *)
 let prop_cut_functions =
   qtest ~count:25 "cut functions match node function" gen_seed (fun seed ->
       List.for_all
         (fun (k, inputs) ->
           let g = random_aig ~inputs ~gates:60 seed in
           let cuts = Aig.Cuts.enumerate g ~k ~per_node:5 in
-          let ok = ref true in
-          for id = 1 to Aig.num_nodes g - 1 do
-            if Aig.is_and g id then begin
-              let root = Aig.lit_of_node id false in
-              let node_tt = Aig.tt_of_lit g root in
-              List.iter
-                (fun (c : Aig.Cuts.cut) ->
-                  if not (Tt.equal c.tt (reference_cut_function g root c.leaves))
-                  then ok := false;
-                  (* Substitute each leaf's global function into the cut tt
-                     and compare against the node's global function. *)
-                  let leaf_tts =
-                    Array.map
-                      (fun lid -> Aig.tt_of_lit g (Aig.lit_of_node lid false))
-                      c.leaves
-                  in
-                  let expand m =
-                    let idx = ref 0 in
-                    Array.iteri
-                      (fun i t -> if Tt.get_bit t m then idx := !idx lor (1 lsl i))
-                      leaf_tts;
-                    Tt.get_bit c.tt !idx
-                  in
-                  if not (Tt.equal (Tt.of_fun inputs expand) node_tt) then ok := false)
-                cuts.(id)
-            end
+          let reads =
+            List.concat
+              (List.init (Aig.num_nodes g) (fun id ->
+                   if Aig.is_and g id then List.map (fun c -> (id, c)) cuts.(id)
+                   else []))
+            |> Array.of_list
+          in
+          let st = Random.State.make [| seed; k |] in
+          for i = Array.length reads - 1 downto 1 do
+            let j = Random.State.int st (i + 1) in
+            let t = reads.(i) in
+            reads.(i) <- reads.(j);
+            reads.(j) <- t
           done;
-          !ok)
+          Array.for_all
+            (fun (id, c) ->
+              let root = Aig.lit_of_node id false in
+              let leaves = Aig.Cuts.leaves c in
+              let tt = Aig.Cuts.tt c in
+              (* Substitute each leaf's global function into the cut tt
+                 and compare against the node's global function. *)
+              let leaf_tts =
+                Array.map
+                  (fun lid -> Aig.tt_of_lit g (Aig.lit_of_node lid false))
+                  leaves
+              in
+              let expand m =
+                let idx = ref 0 in
+                Array.iteri
+                  (fun i t -> if Tt.get_bit t m then idx := !idx lor (1 lsl i))
+                  leaf_tts;
+                Tt.get_bit tt !idx
+              in
+              Tt.equal tt (reference_cut_function g root leaves)
+              && Tt.equal (Tt.of_fun inputs expand) (Aig.tt_of_lit g root))
+            reads)
         [ (4, 6); (6, 8); (8, 10) ])
 
 (* [Synth.divisor]'s oracle: the divisor choice before it moved to

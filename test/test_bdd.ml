@@ -104,6 +104,32 @@ let prop_implies =
       Bdd.implies man fa fb
       = Tt.is_const_false (Tt.land_ a (Tt.lnot b)))
 
+(* [disjoint] against the conjunction it avoids building, on random
+   tables of up to 8 variables, the same pair twice (the second answer
+   comes from the cache), and the operand against itself, its
+   complement and both constants. *)
+let prop_disjoint =
+  let gen =
+    QCheck.make
+      ~print:(fun (a, b) -> Tt.to_hex a ^ " " ^ Tt.to_hex b)
+      QCheck.Gen.(
+        int_range 0 8 >>= fun n ->
+        map2
+          (fun s1 s2 ->
+            ( Tt.random (Random.State.make [| s1 |]) n,
+              Tt.random (Random.State.make [| s2 |]) n ))
+          int int)
+  in
+  qtest "disjoint = is_false band" gen (fun (a, b) ->
+      let man = Bdd.create () in
+      let fa = bdd_of_tt man a and fb = bdd_of_tt man b in
+      let agrees f g =
+        Bdd.disjoint man f g = Bdd.is_false man (Bdd.band man f g)
+      in
+      List.for_all
+        (fun g -> agrees fa g && agrees g fa && agrees fa g)
+        [ fb; fa; Bdd.bnot man fa; Bdd.bfalse man; Bdd.btrue man ])
+
 (* ------------------------------------------------------------------ *)
 (* Random formula trees over 8 variables, cross-checked against         *)
 (* brute-force truth-table evaluation, plus canonical-form invariants.  *)
@@ -281,6 +307,7 @@ let () =
           prop_support;
           prop_exists;
           prop_implies;
+          prop_disjoint;
           prop_formula_crosscheck;
           prop_formula_ite_band_bxor;
           prop_formula_exists;

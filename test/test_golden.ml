@@ -1,7 +1,9 @@
 (* Golden outputs: the md5 of the BLIF that `lookahead_opt opt -j 1
-   --time-limit 0 -o FILE` writes, for four tools on three circuits. Any
-   change that moves an output fails here. A change that moves outputs
-   on purpose regenerates these digests and says why in CHANGES.md:
+   --time-limit 0 -o FILE` writes, for four tools on three circuits, and
+   for lookahead on ripple16, where secondary simplification takes about
+   a third of the run. Any change that moves an output fails here. A
+   change that moves outputs on purpose regenerates these digests and
+   says why in CHANGES.md:
 
      lookahead_opt opt -c C880 -t dc -j 1 --time-limit 0 -o out.blif
      md5sum out.blif *)
@@ -15,6 +17,8 @@ let golden =
         ("sis", "84952b6e7e3bf0c0d70329975ea9a0d2");
         ("abc", "81a315c2418a18e13415f01d9028b54e");
       ] );
+    ( Serve.Msg.Adder { kind = "ripple"; bits = 16 },
+      [ ("lookahead", "80963aead73d968c49f8fca1e05f9811") ] );
     ( Serve.Msg.Named "C880",
       [
         ("lookahead", "449484730fa5d10ac688bc3d8a05fec6");

@@ -932,7 +932,7 @@ let with_server f =
       (* shut the server down if the test did not *)
       (try
          let c = Serve.Client.connect (`Unix sock) in
-         Serve.Client.shutdown c;
+         ignore (Serve.Client.shutdown c);
          Serve.Client.close c
        with _ -> ());
       Domain.join server;
@@ -961,9 +961,19 @@ let test_server_end_to_end () =
         (r.Msg.state = Msg.Done);
       Alcotest.(check bool) "metrics delivered" true (r.Msg.metrics <> None);
       Alcotest.(check bool) "blif delivered" true (r.Msg.blif <> None);
-      let st = Serve.Client.stats c in
+      let st =
+        match Serve.Client.stats c with
+        | Ok st -> st
+        | Error (code, message) ->
+          Alcotest.failf "stats refused: %s: %s" code message
+      in
       Alcotest.(check int) "one job submitted" 1 st.Msg.submitted;
       Alcotest.(check int) "one job completed" 1 st.Msg.completed;
+      (* a refused request is a value, not an exception *)
+      (match Serve.Client.job_trace c 999 with
+      | Error ("no_trace", _) -> ()
+      | Error (code, _) -> Alcotest.failf "unknown trace id answered %s" code
+      | Ok _ -> Alcotest.fail "unknown trace id returned a trace");
       (* protocol-level error: unknown tool *)
       Serve.Client.send c
         (Msg.Submit { spec with Msg.tool = "zap" });
