@@ -100,12 +100,12 @@ let nolimit = { Lookahead.Driver.default with time_limit_s = infinity }
 type metrics = { gates : int; levels : int; delay : float; power : float }
 
 let measure g =
-  let netlist = Techmap.Mapper.map g in
+  let m = Techmap.Eval.measure g in
   {
     gates = Aig.num_reachable_ands g;
     levels = Aig.depth g;
-    delay = Techmap.Mapper.delay netlist;
-    power = Techmap.Power.dynamic_mw netlist;
+    delay = m.Techmap.Eval.delay_ps;
+    power = m.Techmap.Eval.power_mw;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -853,14 +853,17 @@ let incr_bench () =
    solver) on the reference container with this exact workload. The
    md5s are portable; the seconds are indicative — the bench only
    requires the miter total to stay under the seed total (0 % slack),
-   which leaves a multiple-fold margin for a slower host. *)
+   which leaves a multiple-fold margin for a slower host.
+   sparc_tlu_intctl_flat's md5 was re-pinned when the sweep moved onto
+   the CEC fraig engine, which merges more there: 217 -> 211 ANDs, 26
+   levels both. *)
 let sat_sweep_seed =
   [
     ("dalu", 0.0233, "6ebd418a26fff74d8d6635ae960001a8");
     ("C880", 0.0070, "4182a947200edcbcbfddac1532f4c3d9");
     ("C1355", 0.0108, "bce60baac0ecb1425c7b4a46d1696960");
     ("C1908", 0.0032, "b5efa926f8f7dcdd0027a9fef3c5a2de");
-    ("sparc_tlu_intctl_flat", 0.0079, "bfe6a1ec67d45a911c961f1a4454648b");
+    ("sparc_tlu_intctl_flat", 0.0079, "2743701bd10d911ff3f64096f6501cf1");
     ("lsu_stb_ctl_flat", 0.0184, "324d833bf6d0548de1678bd2a6246c1d");
   ]
 

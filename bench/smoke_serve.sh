@@ -10,8 +10,9 @@
 # Then a fresh `-j 2` server must complete a portfolio job as its very
 # first job. Last, the one-shot `lookahead_opt opt`, which runs the
 # same job path cold, must fail the loop BLIF the same typed way (exit
-# 1, `job failed:`), report an injected fault as `degraded: yes`, and
-# pass `--check`; and bad front-end input (two circuit sources on `opt`
+# 1, `job failed:`), report an injected fault as `degraded: yes`, pass
+# `--check`, and write the served BLIF of a job under `--budget-nodes`;
+# and bad front-end input (two circuit sources on `opt`
 # or `submit`, an unknown circuit or tool on `timing`) must end in a
 # typed error, never in an uncaught exception.
 #
@@ -170,6 +171,13 @@ grep -q "delay" "$out/after.out" || {
   echo "smoke_serve: FAIL — clean job after the loop job printed no metrics" >&2
   fail=1; }
 
+# A job under a 2,000-node ceiling (serve_mix's cla8 lookahead job);
+# the one-shot CLI below must write the same BLIF.
+dune exec bin/lookahead_serve.exe -- submit -s "$sock" --adder cla:8 \
+  --budget-nodes 2000 --time-limit 0 -o "$out/budget_served.blif" \
+  >/dev/null 2>&1 || {
+  echo "smoke_serve: FAIL — budgeted job failed" >&2; fail=1; }
+
 # Graceful shutdown: the request must be acknowledged and the server
 # process must exit on its own.
 dune exec bin/lookahead_serve.exe -- shutdown -s "$sock" >/dev/null || {
@@ -229,6 +237,13 @@ dune exec bin/lookahead_opt.exe -- opt --adder ripple:4 --time-limit 0 \
   echo "smoke_serve: FAIL — CLI --check run failed" >&2; fail=1; }
 grep -q "^equivalence: PASS" "$out/cli_check.out" || {
   echo "smoke_serve: FAIL — CLI --check did not print equivalence: PASS" >&2
+  fail=1; }
+
+dune exec bin/lookahead_opt.exe -- opt --adder cla:8 --budget-nodes 2000 \
+  --time-limit 0 -o "$out/budget_cli.blif" >/dev/null 2>&1 || {
+  echo "smoke_serve: FAIL — CLI budgeted job failed" >&2; fail=1; }
+cmp -s "$out/budget_served.blif" "$out/budget_cli.blif" || {
+  echo "smoke_serve: FAIL — CLI and served budgeted jobs wrote different BLIFs" >&2
   fail=1; }
 
 # Bad front-end input is a typed error: two circuit sources are a usage

@@ -19,7 +19,7 @@ let opt_cmd =
            ~doc:"Run SAT equivalence checking against the input.")
   in
   let run circuit blif bench adder tool portfolio cost check out_blif verbose
-      jobs time_limit stats report trace journal inject =
+      jobs time_limit budget stats report trace journal inject =
     Cli.setup_logs verbose;
     Cli.setup_jobs jobs;
     (* The job's report travels in its result; [finish_obs] writes only
@@ -36,7 +36,8 @@ let opt_cmd =
       Serve.Engine.run_cold
         {
           (Msg.submit_defaults ~source ~tool) with
-          Msg.inject;
+          Msg.budget;
+          inject;
           time_limit_s = time_limit;
           want_blif = out_blif <> None || check;
           want_report = report <> None;
@@ -60,8 +61,8 @@ let opt_cmd =
       const run $ Cli.circuit_term $ Cli.blif_term $ Cli.bench_term
       $ Cli.adder_term $ Cli.tool_term $ Cli.portfolio_term $ Cli.cost_term
       $ check $ Cli.output_term $ Cli.verbose_term $ Cli.jobs_term
-      $ Cli.time_limit_term $ Cli.stats_term $ Cli.report_term
-      $ Cli.trace_term $ Cli.journal_term $ Cli.inject_term)
+      $ Cli.time_limit_term $ Cli.budget_term $ Cli.stats_term
+      $ Cli.report_term $ Cli.trace_term $ Cli.journal_term $ Cli.inject_term)
 
 let timing_cmd =
   let circuit =

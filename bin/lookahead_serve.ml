@@ -104,33 +104,13 @@ let run_cmd =
       $ journal_max_bytes $ slo $ Cli.jobs_term $ Cli.verbose_term)
 
 let submit_cmd =
-  let nodes =
-    Arg.(
-      value & opt int 0
-      & info [ "budget-nodes" ] ~docv:"N"
-          ~doc:"Tenant BDD node ceiling (0 = library default).")
-  in
-  let sat =
-    Arg.(
-      value & opt int 0
-      & info [ "budget-sat" ] ~docv:"N"
-          ~doc:"Tenant SAT conflict ceiling per query (0 = unlimited).")
-  in
-  let sat_total =
-    Arg.(
-      value & opt int 0
-      & info [ "budget-sat-total" ] ~docv:"N"
-          ~doc:
-            "Tenant cumulative SAT conflict budget across all of the job's \
-             queries (0 = unlimited).")
-  in
   let progress =
     Arg.(
       value & flag
       & info [ "progress" ] ~doc:"Stream phase-completion events to stderr.")
   in
-  let run socket tcp circuit blif bench adder tool portfolio cost nodes sat
-      sat_total inject time_limit progress out_blif report_file verbose =
+  let run socket tcp circuit blif bench adder tool portfolio cost budget inject
+      time_limit progress out_blif report_file verbose =
     Cli.setup_logs verbose;
     let prog = "lookahead_serve" in
     let tool = Cli.resolve_tool ~prog ~portfolio ~cost tool in
@@ -142,12 +122,7 @@ let submit_cmd =
     let spec =
       {
         (Msg.submit_defaults ~source ~tool) with
-        Msg.budget =
-          {
-            Msg.bdd_node_ceiling = nodes;
-            sat_conflict_ceiling = sat;
-            sat_conflict_budget = sat_total;
-          };
+        Msg.budget;
         inject;
         time_limit_s = time_limit;
         progress;
@@ -175,7 +150,7 @@ let submit_cmd =
     Term.(
       const run $ socket_arg $ tcp_arg $ Cli.circuit_term $ Cli.blif_term
       $ Cli.bench_term $ Cli.adder_term $ Cli.tool_term $ Cli.portfolio_term
-      $ Cli.cost_term $ nodes $ sat $ sat_total $ Cli.inject_term
+      $ Cli.cost_term $ Cli.budget_term $ Cli.inject_term
       $ Cli.time_limit_term $ progress $ Cli.output_term $ Cli.report_term
       $ Cli.verbose_term)
 

@@ -1,9 +1,10 @@
-(** Combinational equivalence checking.
+(** Combinational equivalence checking, and the fraig engine it runs.
 
     The paper verifies every optimized circuit against the original
     ("an equivalence check is performed after optimization", Sec. 5); this
-    module provides that check: random simulation for fast refutation
-    followed by SAT on a miter. *)
+    module provides that check: random simulation for fast refutation,
+    then a fraig sweep of the miter. The same sweep is the SAT
+    redundancy removal ({!sweep}, {!Sweep.sat_sweep}). *)
 
 type verdict =
   | Equivalent
@@ -22,7 +23,7 @@ val equivalent : ?guard:Guard.t -> Graph.t -> Graph.t -> bool
 (** Work counters for one check: simulation rounds run (seed,
     refutation-refinement, and miter-level), SAT queries issued, fraig
     merges proven, and bounded queries that exhausted their conflict
-    budget. Deterministic for a given input pair at any [-j]. *)
+    budget. Deterministic for a given input at any [-j]. *)
 type stats = {
   sim_rounds : int;
   sat_calls : int;
@@ -34,8 +35,13 @@ type stats = {
     [cec.*] and [sat.*] [Obs] metrics when observation is enabled). *)
 val check_with_stats : ?guard:Guard.t -> Graph.t -> Graph.t -> verdict * stats
 
-(** Fold a finished solver's work into the [sat.*] [Obs] metrics:
-    counters add across solvers, gauges keep the peak. Every pass that
-    owns a fresh solver ([check], {!Sweep.sat_sweep}) records through
-    this. *)
-val record_solver_stats : Sat.Solver.t -> unit
+(** [sweep ~guard g] rebuilds [g]'s live part, merging nodes proven
+    equivalent (up to complement) by the engine that sweeps every miter.
+    A node merges into its shallowest earlier proven-equal node when
+    that one is no deeper; otherwise later readers of that node read
+    the new one. So no node gets deeper, and the result has no more
+    levels and no more ANDs than [g]. [guard] governs the bounded
+    per-candidate proof queries, as in [check]. Records its queries
+    and merges as [sweep.sat_calls] and [sweep.merges], and the
+    [sat.*] metrics. *)
+val sweep : guard:Guard.t -> Graph.t -> Graph.t

@@ -9,7 +9,7 @@ let sis_like g =
     let g = Network.to_aig net in
     Aig.Balance.run (Aig.Rewrite.run ~k:4 ~per_node:4 ~objective:`Delay g)
   in
-  Aig.Sweep.cleanup (pass (pass g))
+  Aig.cleanup (pass (pass g))
 
 (* ABC resyn2rs: "b; rs -K 6; rw; rs -K 6 -N 2; rf; rs -K 8; b; ..." —
    an area-recovery script. Balancing appears only as a prelude to the
@@ -23,12 +23,12 @@ let abc_like g =
     if Aig.num_reachable_ands after <= Aig.num_reachable_ands before then after
     else before
   in
-  let g0 = Aig.Sweep.cleanup g in
+  let g0 = Aig.cleanup g in
   let g1 = keep_smaller g0 (Aig.Balance.run g0) in
   let g2 = keep_smaller g1 (Aig.Rewrite.run ~k:5 ~per_node:6 ~objective:`Area g1) in
   let g3 = keep_smaller g2 (Aig.Sweep.sat_sweep g2) in
   let g4 = keep_smaller g3 (Aig.Rewrite.run ~k:4 ~per_node:6 ~objective:`Area g3) in
-  Aig.Sweep.cleanup g4
+  Aig.cleanup g4
 
 (* Synopsys DC at high map/area effort: the strongest conventional
    baseline. Iterate delay-oriented rewriting + balancing to a fixpoint

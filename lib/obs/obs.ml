@@ -635,20 +635,9 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Journal = struct
-  type entry = {
-    seq : int;
-    ts_ns : int;
-    trace : string;
-    kind : string;
-    det : Json.t;
-    sched : Json.t;
-  }
-
   let mutex = Mutex.create ()
 
   (* All mutable state below is guarded by [mutex]. *)
-  let ring : entry option array ref = ref [||]
-  let head = ref 0
   let total = ref 0
   let d_count = ref 0
   let d_sum = ref 0L
@@ -675,14 +664,15 @@ module Journal = struct
       s;
     !h
 
-  let entry_json e =
+  (* One JSONL line; [Null] payloads and an empty trace are left out. *)
+  let line_json ~seq ~ts ~trace ~kind det sched =
     Json.Obj
-      ([ ("seq", Json.Int e.seq);
-         ("ts_ns", Json.Int e.ts_ns);
-         ("kind", Json.String e.kind) ]
-       @ (if e.trace = "" then [] else [ ("trace", Json.String e.trace) ])
-       @ (match e.det with Json.Null -> [] | d -> [ ("det", d) ])
-       @ (match e.sched with Json.Null -> [] | s -> [ ("sched", s) ]))
+      ([ ("seq", Json.Int seq);
+         ("ts_ns", Json.Int ts);
+         ("kind", Json.String kind) ]
+       @ (if trace = "" then [] else [ ("trace", Json.String trace) ])
+       @ (match det with Json.Null -> [] | d -> [ ("det", d) ])
+       @ (match sched with Json.Null -> [] | s -> [ ("sched", s) ]))
 
   (* Call with [mutex] held. *)
   let rotate_locked oc =
@@ -697,10 +687,8 @@ module Journal = struct
       let ts = Int64.to_int (Clock.now_ns ()) in
       let trace = Atomic.get current_trace in
       locked (fun () ->
-          let e =
-            { seq = !total; ts_ns = ts; trace; kind; det; sched }
-          in
-          total := !total + 1;
+          let seq = !total in
+          total := seq + 1;
           (match det with
            | Json.Null -> ()
            | d ->
@@ -708,15 +696,12 @@ module Journal = struct
              d_count := !d_count + 1;
              d_sum := Int64.add !d_sum h;
              d_xor := Int64.logxor !d_xor h);
-          let cap = Array.length !ring in
-          if cap > 0 then begin
-            !ring.(!head) <- Some e;
-            head := (!head + 1) mod cap
-          end;
           match !out with
           | None -> ()
           | Some oc ->
-            let line = Json.to_string (entry_json e) in
+            let line =
+              Json.to_string (line_json ~seq ~ts ~trace ~kind det sched)
+            in
             let len = String.length line + 1 in
             let oc =
               if !out_bytes > 0 && !out_bytes + len > !out_max_bytes then begin
@@ -736,20 +721,9 @@ module Journal = struct
       fun name ->
         record ~kind:"phase" ~det:(Json.Obj [ ("phase", Json.String name) ]) ()
 
-  let clear () =
-    locked (fun () ->
-        Array.fill !ring 0 (Array.length !ring) None;
-        head := 0;
-        total := 0;
-        d_count := 0;
-        d_sum := 0L;
-        d_xor := 0L)
-
-  let enable ?(capacity = 4096) ?file ?(file_max_bytes = 8 * 1024 * 1024) () =
+  let enable ?file ?(file_max_bytes = 8 * 1024 * 1024) () =
     locked (fun () ->
         (match !out with Some oc -> close_out oc | None -> ());
-        ring := Array.make (max 1 capacity) None;
-        head := 0;
         total := 0;
         d_count := 0;
         d_sum := 0L;
@@ -772,19 +746,6 @@ module Journal = struct
         (match !out with Some oc -> close_out oc | None -> ());
         out := None;
         out_path := "")
-
-  let journaling () = Atomic.get journal_on
-
-  let entries () =
-    locked (fun () ->
-        let cap = Array.length !ring in
-        let acc = ref [] in
-        for i = 0 to cap - 1 do
-          match !ring.((!head + cap - 1 - i) mod cap) with
-          | Some e -> acc := e :: !acc
-          | None -> ()
-        done;
-        !acc)
 
   let events_total () = locked (fun () -> !total)
   let rotations () = locked (fun () -> !n_rotations)

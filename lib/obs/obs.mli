@@ -221,10 +221,11 @@ end
 
 (** {1 Journal}
 
-    A server-lifetime, bounded ring of typed lifecycle events (job
+    A server-lifetime stream of typed lifecycle events (job
     admitted/started/finished, phase completions, guard degradations
-    and injection firings) with an optional JSONL file sink. Unlike
-    metric sinks, the journal survives {!reset} — it spans jobs.
+    and injection firings), written to an optional JSONL file sink and
+    folded into a Det digest; nothing is kept in memory. Unlike metric
+    sinks, the journal survives {!reset} — it spans jobs.
 
     Each entry splits its payload: [det] holds data that is
     bit-identical across [-j] and warm/cold for deterministic
@@ -235,46 +236,29 @@ end
     The determinism contract is checked through {!det_digest}: a
     commutative (count, sum, xor) combination of a 64-bit FNV-1a hash
     of each entry's [kind] and serialized [det] payload. Commutativity
-    makes the digest independent of the order in which domains append;
-    accumulating at record time makes it independent of ring eviction.
+    makes the digest independent of the order in which domains append.
     Entries whose [det] payload is [Null] (cancellations, rejections,
     real deadline cuts — events that exist only because of scheduling
     or external action) are excluded from the digest. *)
 module Journal : sig
-  type entry = {
-    seq : int;          (** monotonically increasing admission number *)
-    ts_ns : int;        (** monotonic clock, Sched by nature *)
-    trace : string;     (** trace id current at record time, [""] if none *)
-    kind : string;      (** e.g. ["job.admitted"], ["guard.injected"] *)
-    det : Json.t;       (** Det-classified payload ([Null] = sched-only) *)
-    sched : Json.t;     (** Sched-classified payload ([Null] = none) *)
-  }
-
-  (** Start journaling. [capacity] bounds the in-memory ring (oldest
-      entries are evicted); [file] appends one JSON object per line,
+  (** Start journaling. [file] appends one JSON object per event —
+      [seq] (admission number), [ts_ns] (monotonic clock), [kind]
+      (e.g. ["job.admitted"]), and when present [trace] (the trace id
+      current at record time) and the [det] and [sched] payloads —
       rotated (renamed to [file ^ ".1"] and reopened) when it exceeds
       [file_max_bytes]. Phase-span completions (see
       {!set_span_listener}) are journaled as ["phase"] events (span
       counts are deterministic for deadline-free runs; see DESIGN.md
-      §4j). Resets ring, digest and rotation state. *)
-  val enable :
-    ?capacity:int -> ?file:string -> ?file_max_bytes:int -> unit -> unit
+      §4j). Resets the count, digest and rotation state. *)
+  val enable : ?file:string -> ?file_max_bytes:int -> unit -> unit
 
   (** Stop journaling and close the file sink. *)
   val disable : unit -> unit
 
-  val journaling : unit -> bool
-
   (** Append an event (no-op when disabled). Thread-safe. *)
   val record : kind:string -> ?det:Json.t -> ?sched:Json.t -> unit -> unit
 
-  (** Ring contents, oldest first. *)
-  val entries : unit -> entry list
-
-  (** The JSONL line for an entry ([Null] payloads omitted). *)
-  val entry_json : entry -> Json.t
-
-  (** Events recorded since {!enable}/{!clear}, including evicted. *)
+  (** Events recorded since {!enable}. *)
   val events_total : unit -> int
 
   (** File-sink rotations since {!enable}. *)
@@ -284,10 +268,6 @@ module Journal : sig
       telemetry identity contract (byte-identical across [-j] and
       warm/cold for deterministic workloads). *)
   val det_digest : unit -> string
-
-  (** Empty the ring and zero the digest (keeps the configuration and
-      file sink). For identity benches that compare runs. *)
-  val clear : unit -> unit
 end
 
 (** {1 Snapshots and exports}

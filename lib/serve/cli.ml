@@ -147,6 +147,22 @@ let time_limit_term =
            across $(b,-j)) should pass 0 — a deadline cut depends on \
            scheduling.")
 
+(* --- work budget -------------------------------------------------------- *)
+
+let budget_term =
+  let ceiling name doc =
+    Arg.(value & opt int 0 & info [ name ] ~docv:"N" ~doc)
+  in
+  Term.(
+    const (fun bdd_node_ceiling sat_conflict_ceiling sat_conflict_budget ->
+        { Msg.bdd_node_ceiling; sat_conflict_ceiling; sat_conflict_budget })
+    $ ceiling "budget-nodes" "Tenant BDD node ceiling (0 = library default)."
+    $ ceiling "budget-sat"
+        "Tenant SAT conflict ceiling per query (0 = unlimited)."
+    $ ceiling "budget-sat-total"
+        "Tenant cumulative SAT conflict budget across all of the job's \
+         queries (0 = unlimited).")
+
 (* --- tools ------------------------------------------------------------- *)
 
 let tool_term =

@@ -4,8 +4,9 @@
     all speak the same dialect: [-j]/[--jobs] (with the
     [LOOKAHEAD_JOBS] fallback inside [lib/par]), the observation trio
     [--stats]/[--report]/[--trace], deterministic fault injection
-    [--inject], the lookahead [--time-limit], [-t]/[-o]/[-v], and a
-    common way of naming a circuit source. This module is the single
+    [--inject], the lookahead [--time-limit], the job's work budget
+    [--budget-*], [-t]/[-o]/[-v], and a common way of naming a circuit
+    source. This module is the single
     home of the Cmdliner terms all three parse them with.
 
     The two job front ends, [lookahead_opt opt] and [lookahead_serve
@@ -76,6 +77,13 @@ val setup_inject : prog:string -> string option -> unit
     negative) disables the anytime deadline, positive sets it — the
     convention of {!Msg.submit}'s [time_limit_s]. *)
 val time_limit_term : float option Cmdliner.Term.t
+
+(** {1 Work budget} *)
+
+(** [--budget-nodes], [--budget-sat] and [--budget-sat-total]: the
+    job's {!Msg.budget}, each [0] by default (library default or
+    unlimited). *)
+val budget_term : Msg.budget Cmdliner.Term.t
 
 (** {1 Tools} *)
 

@@ -30,9 +30,19 @@ type job = {
 
 let trace_of ~tenant ~id = Printf.sprintf "t%d.j%d" tenant id
 
-(* How many finished jobs keep their Chrome-trace slice retrievable via
-   the [Trace] request. Slices are rendered once, at job completion, on
-   the executor domain — the request path only does a list lookup. *)
+(* A finished job as the engine remembers it. The newest [finished_keep]
+   keep their final state for [status] and [cancel]; the newest
+   [trace_keep] also keep their Chrome-trace slice for the [Trace]
+   request. Slices are rendered once, at job completion, on the
+   executor domain — the request path only does a lookup. *)
+type ended = {
+  e_id : int;
+  e_tenant : int;
+  e_state : Msg.job_state;
+  mutable e_trace : Obs.Json.t option;
+}
+
+let finished_keep = 1024
 let trace_keep = 8
 
 type t = {
@@ -40,12 +50,13 @@ type t = {
   lock : Mutex.t;
   cond : Condition.t;
   queue : job Queue.t;
-  jobs : (int, job) Hashtbl.t; (* under [lock] *)
+  jobs : (int, job) Hashtbl.t; (* queued and running, under [lock] *)
   mutable next_id : int;
   mutable accepting : bool;
   mutable stopping : bool;
   mutable running : job option;
-  mutable traces : (int * Obs.Json.t) list; (* newest first, <= trace_keep *)
+  finished : ended option array; (* ring of [finished_keep], under [lock] *)
+  mutable n_finished : int;
   telemetry : Telemetry.t; (* the one ledger, under [lock] *)
   mutable executor : unit Domain.t option;
   on_event : event -> unit;
@@ -71,7 +82,8 @@ let create ?(on_event = fun _ -> ()) ?(slo = []) config =
     accepting = true;
     stopping = false;
     running = None;
-    traces = [];
+    finished = Array.make finished_keep None;
+    n_finished = 0;
     telemetry = Telemetry.create ~slo ();
     executor = None;
     on_event = (fun e -> on_event e);
@@ -290,6 +302,27 @@ let run_cold spec =
 
 (* --- the executor domain ---------------------------------------------- *)
 
+(* Under [lock]: [job] has its final state and leaves [t.jobs], spec and
+   all, for the ring of finished jobs. *)
+let retire t (job : job) trace =
+  Hashtbl.remove t.jobs job.id;
+  let n = t.n_finished in
+  if n >= trace_keep then
+    Option.iter
+      (fun e -> e.e_trace <- None)
+      t.finished.((n - trace_keep) mod finished_keep);
+  t.finished.(n mod finished_keep) <-
+    Some
+      { e_id = job.id; e_tenant = job.tenant; e_state = job.state;
+        e_trace = trace };
+  t.n_finished <- n + 1
+
+(* Under [lock]. *)
+let find_ended t id =
+  Array.find_map
+    (function Some e when e.e_id = id -> Some e | _ -> None)
+    t.finished
+
 let cancelled_result (job : job) ~wait_ns =
   {
     Msg.id = job.id;
@@ -351,14 +384,7 @@ let rec executor_loop t =
       Mutex.lock t.lock;
       job.state <- result.Msg.state;
       t.running <- None;
-      (match trace_slice with
-      | Some tr ->
-        t.traces <-
-          (job.id, tr)
-          :: (if List.length t.traces >= trace_keep then
-                List.filteri (fun i _ -> i < trace_keep - 1) t.traces
-              else t.traces)
-      | None -> ());
+      retire t job trace_slice;
       Telemetry.record_result t.telemetry ~cls
         ~state:(Msg.state_name result.Msg.state)
         ~wait_ms:result.Msg.wait_ms ~run_ms:result.Msg.run_ms;
@@ -487,12 +513,12 @@ let status t id =
   Mutex.lock t.lock;
   let r =
     match Hashtbl.find_opt t.jobs id with
-    | None -> None
     | Some job ->
       let pos =
         if job.state = Msg.Queued then queued_position t id else None
       in
       Some (job.state, pos)
+    | None -> Option.map (fun e -> (e.e_state, None)) (find_ended t id)
   in
   Mutex.unlock t.lock;
   r
@@ -515,6 +541,7 @@ let cancel_job t (job : job) =
   match job.state with
   | Msg.Queued ->
     job.state <- Msg.Cancelled;
+    retire t job None;
     Guard.Deadline.cancel job.cancel_handle;
     journal_cancelled job;
     Telemetry.record_queued_cancel t.telemetry ~tenant:job.tenant;
@@ -530,13 +557,15 @@ let cancel_job t (job : job) =
 let cancel t ~tenant id =
   Mutex.lock t.lock;
   let r =
-    match Hashtbl.find_opt t.jobs id with
-    | None -> Error ("unknown_job", Printf.sprintf "no job %d" id)
-    | Some job when job.tenant <> tenant ->
+    match (Hashtbl.find_opt t.jobs id, find_ended t id) with
+    | None, None -> Error ("unknown_job", Printf.sprintf "no job %d" id)
+    | (Some { tenant = owner; _ }, _ | None, Some { e_tenant = owner; _ })
+      when owner <> tenant ->
       Error ("not_owner", "jobs may only be cancelled by their submitter")
-    | Some job ->
+    | Some job, _ ->
       let ev = cancel_job t job in
       Ok (job.state, ev)
+    | None, Some e -> Ok (e.e_state, None)
   in
   Mutex.unlock t.lock;
   match r with
@@ -547,16 +576,15 @@ let cancel t ~tenant id =
 
 let drop_tenant t tenant =
   Mutex.lock t.lock;
-  let evs = ref [] in
-  Hashtbl.iter
-    (fun _ job ->
-      if job.tenant = tenant then
-        match cancel_job t job with
-        | Some e -> evs := e :: !evs
-        | None -> ())
-    t.jobs;
+  (* Collected first: cancelling a queued job retires it from [t.jobs]. *)
+  let owned =
+    Hashtbl.fold
+      (fun _ job acc -> if job.tenant = tenant then job :: acc else acc)
+      t.jobs []
+  in
+  let evs = List.filter_map (cancel_job t) owned in
   Mutex.unlock t.lock;
-  List.iter t.on_event !evs
+  List.iter t.on_event evs
 
 let stats t =
   Mutex.lock t.lock;
@@ -614,7 +642,7 @@ let metrics t =
 
 let job_trace t id =
   Mutex.lock t.lock;
-  let r = List.assoc_opt id t.traces in
+  let r = Option.bind (find_ended t id) (fun e -> e.e_trace) in
   Mutex.unlock t.lock;
   r
 

@@ -76,12 +76,19 @@ val idle : t -> bool
 val submit :
   t -> tenant:int -> Msg.submit -> (int * int, string * string) result
 
+(** A job's state, and its 0-based queue position while queued. The
+    engine holds only queued and running jobs; a finished job leaves
+    behind just its final state, and only the newest 1024 finished
+    jobs are remembered. [None] for an unknown or evicted id (the
+    server answers [unknown_job]). *)
 val status : t -> int -> (Msg.job_state * int option) option
 
 (** Cancel a job owned by [tenant] (the requesting connection may only
     cancel its own jobs). Queued jobs are marked cancelled and skipped;
     the running job has its deadline cancelled and winds down at the
-    next guard cancellation point. Returns the state after the call. *)
+    next guard cancellation point. Returns the state after the call; a
+    remembered finished job keeps its final state, and an unknown or
+    evicted id is [unknown_job]. *)
 val cancel :
   t -> tenant:int -> int -> (Msg.job_state, string * string) result
 
@@ -96,9 +103,8 @@ val stats : t -> Msg.server_stats
     one critical section. Safe from any thread. *)
 val metrics : t -> string * Obs.Json.t
 
-(** The retained Chrome-trace slice of a recently finished job (the
-    engine keeps the last few), rendered at job completion; [None] for
-    unknown or evicted ids. *)
+(** The retained Chrome-trace slice of one of the 8 newest finished
+    jobs, rendered at job completion; [None] for other ids. *)
 val job_trace : t -> int -> Obs.Json.t option
 
 (** Admission checks, without queueing: a known tool, non-negative

@@ -130,7 +130,26 @@ let prop_sweep_equiv =
       let g = random_aig ~inputs:6 ~gates:80 seed in
       let s = Aig.Sweep.sat_sweep g in
       check_equiv_and_report "sat_sweep" g s
-      && Aig.num_reachable_ands s <= Aig.num_reachable_ands g)
+      && Aig.num_reachable_ands s <= Aig.num_reachable_ands g
+      && Aig.depth s <= Aig.depth g)
+
+(* The later of two equal nodes is the shallower one: the sweep must
+   hand its image to the earlier node's readers, not keep the deep
+   chain because it was built first. *)
+let test_sweep_takes_later_shallower () =
+  let g = Aig.create () in
+  let a = Aig.add_input g and b = Aig.add_input g in
+  let c = Aig.add_input g and d = Aig.add_input g in
+  let ab = Aig.band g a b in
+  let chain = Aig.band g (Aig.band g ab c) d in
+  let twin = Aig.band g ab (Aig.band g c d) in
+  Aig.add_output g "chain" chain;
+  Aig.add_output g "twin" twin;
+  let s = Aig.Sweep.sat_sweep g in
+  Alcotest.(check bool) "equivalent" true (Aig.Cec.equivalent g s);
+  let lv = Aig.levels s in
+  Alcotest.(check (list int)) "both outputs at level 2" [ 2; 2 ]
+    (List.map (fun (_, l) -> lv.(Aig.node_of_lit l)) (Aig.outputs s))
 
 let prop_resub_equiv =
   qtest ~count:30 "resub preserves function" gen_seed (fun seed ->
@@ -485,6 +504,8 @@ let () =
           prop_balance_not_deeper;
           prop_rewrite_equiv;
           prop_sweep_equiv;
+          Alcotest.test_case "sweep takes the later shallower twin" `Quick
+            test_sweep_takes_later_shallower;
           prop_cut_functions;
           prop_of_tt_wide;
           prop_divisor;

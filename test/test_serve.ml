@@ -487,6 +487,50 @@ let test_engine_queued_cancel () =
     "cancelled result delivered" true
     (r.Msg.state = Msg.Cancelled)
 
+(* Finished jobs leave the engine: each of a few hundred inline-BLIF
+   jobs carries its own 76 KB text (dalu behind a 64 KB comment), and
+   after them the compacted heap is as large as after the first fifty. *)
+let test_engine_forgets_finished () =
+  quiesce ();
+  let s = sink () in
+  let e = Engine.create ~on_event:(sink_push s) Engine.default_config in
+  let text = Aig.Io.blif_to_string ~model:"m" (Circuits.Suite.build "dalu") in
+  let pad = String.make 65536 'x' in
+  let run_jobs first last =
+    for i = first to last - 1 do
+      let spec =
+        { (Msg.submit_defaults
+             ~source:
+               (Msg.Blif
+                  { name = "m.blif";
+                    text = Printf.sprintf "# job %d %s\n%s" i pad text })
+             ~tool:"none")
+          with
+          Msg.time_limit_s = Some 0.0 }
+      in
+      let id, _ = Result.get_ok (Engine.submit e ~tenant:1 spec) in
+      ignore (wait_result s id);
+      Mutex.lock s.m;
+      s.events <- [];
+      Mutex.unlock s.m
+    done
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Engine.start e;
+  run_jobs 0 50;
+  let before = live_words () in
+  run_jobs 50 350;
+  let grown = live_words () - before in
+  Engine.stop e;
+  quiesce ();
+  Alcotest.(check bool)
+    (Printf.sprintf "300 jobs grew the heap by %d words" grown)
+    true
+    (grown < 256 * 1024)
+
 (* One ledger: [stats] and [metrics] count the same jobs. All three
    submissions land before the executor starts, so the outcome is
    deterministic: one job done, one cancelled in the queue, one
@@ -847,7 +891,8 @@ let test_trace_propagation () =
     Engine.create ~on_event:(sink_push s)
       { Engine.queue_capacity = 4 }
   in
-  Obs.Journal.enable ();
+  let path = Filename.temp_file "lookahead_test_journal" ".jsonl" in
+  Obs.Journal.enable ~file:path ();
   Engine.start e;
   let id =
     match Engine.submit e ~tenant:1 faulted with
@@ -856,13 +901,24 @@ let test_trace_propagation () =
   in
   let r = wait_result s id in
   Engine.stop e;
-  let entries = Obs.Journal.entries () in
   let tr = Engine.job_trace e id in
   quiesce ();
+  let entries =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map Obs.Json.of_string
+  in
+  Sys.remove path;
   Alcotest.(check bool) "faulted job completes" true (r.Msg.state = Msg.Done);
   Alcotest.(check bool) "faulted job degraded" true r.Msg.degraded;
   let trace_id = Printf.sprintf "t%d.j%d" 1 id in
-  let of_kind k = List.filter (fun e -> e.Obs.Journal.kind = k) entries in
+  let field k e = Obs.Json.member k e in
+  let trace_of e =
+    match field "trace" e with Some (Obs.Json.String t) -> t | _ -> ""
+  in
+  let of_kind k =
+    List.filter (fun e -> field "kind" e = Some (Obs.Json.String k)) entries
+  in
   (match of_kind "guard.injected" with
   | [] -> Alcotest.fail "no guard.injected journal entry"
   | es ->
@@ -870,7 +926,7 @@ let test_trace_propagation () =
       (fun e ->
         Alcotest.(check string)
           "injection firing carries the job trace id" trace_id
-          e.Obs.Journal.trace)
+          (trace_of e))
       es);
   List.iter
     (fun kind ->
@@ -878,7 +934,7 @@ let test_trace_propagation () =
       | [ e ] ->
         Alcotest.(check string)
           (kind ^ " carries the job trace id")
-          trace_id e.Obs.Journal.trace
+          trace_id (trace_of e)
       | es ->
         Alcotest.failf "expected exactly one %s entry, got %d" kind
           (List.length es))
@@ -887,8 +943,8 @@ let test_trace_propagation () =
      in the Sched payload rather than the (executor-owned) trace slot. *)
   (match of_kind "job.admitted" with
   | [ e ] -> (
-    match e.Obs.Journal.sched with
-    | Obs.Json.Obj fields ->
+    match field "sched" e with
+    | Some (Obs.Json.Obj fields) ->
       Alcotest.(check bool)
         "admission Sched payload names the trace id" true
         (List.assoc_opt "trace" fields = Some (Obs.Json.String trace_id))
@@ -1181,6 +1237,8 @@ let () =
           Alcotest.test_case "queue full" `Quick test_engine_queue_full;
           Alcotest.test_case "queued cancel" `Quick test_engine_queued_cancel;
           Alcotest.test_case "ledger" `Quick test_engine_ledger;
+          Alcotest.test_case "finished jobs leave the engine" `Quick
+            test_engine_forgets_finished;
           Alcotest.test_case "warm identity" `Slow test_engine_warm_identity;
           Alcotest.test_case "faulted warm identity" `Slow
             test_engine_faulted_warm_identity;
