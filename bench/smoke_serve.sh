@@ -11,7 +11,8 @@
 # first job. Last, the one-shot `lookahead_opt opt`, which runs the
 # same job path cold, must fail the loop BLIF the same typed way (exit
 # 1, `job failed:`), report an injected fault as `degraded: yes`, pass
-# `--check`, and write the served BLIF of a job under `--budget-nodes`;
+# `--check` (also on two BLIFs whose names look like the writer's own
+# defaults), and write the served BLIF of a job under `--budget-nodes`;
 # and bad front-end input (two circuit sources on `opt`
 # or `submit`, an unknown circuit or tool on `timing`) must end in a
 # typed error, never in an uncaught exception.
@@ -238,6 +239,22 @@ dune exec bin/lookahead_opt.exe -- opt --adder ripple:4 --time-limit 0 \
 grep -q "^equivalence: PASS" "$out/cli_check.out" || {
   echo "smoke_serve: FAIL — CLI --check did not print equivalence: PASS" >&2
   fail=1; }
+
+# Names like the BLIF writer's own defaults: an input named like the AND
+# node it feeds, and an output named like an AND node that does not
+# drive it. The written BLIF must read back as the same circuit.
+printf '.model t\n.inputs n4 b c\n.outputs y\n.names n4 b t\n11 1\n.names t c y\n11 1\n.end\n' \
+  >"$out/names_input.blif"
+printf '.model t\n.inputs a b c\n.outputs n4 z\n.names a b t\n11 1\n.names t c n4\n11 1\n.names t z\n0 1\n.end\n' \
+  >"$out/names_output.blif"
+for f in names_input names_output; do
+  dune exec bin/lookahead_opt.exe -- opt --blif "$out/$f.blif" -t none \
+    --check >"$out/$f.out" 2>"$out/$f.err" || {
+    echo "smoke_serve: FAIL — CLI --check on $f.blif failed" >&2; fail=1; }
+  grep -q "^equivalence: PASS" "$out/$f.out" || {
+    echo "smoke_serve: FAIL — $f.blif did not read back as the same circuit" >&2
+    fail=1; }
+done
 
 dune exec bin/lookahead_opt.exe -- opt --adder cla:8 --budget-nodes 2000 \
   --time-limit 0 -o "$out/budget_cli.blif" >/dev/null 2>&1 || {

@@ -117,6 +117,14 @@ let fanins g id =
   assert (is_and g id);
   (g.fanin0.(id), g.fanin1.(id))
 
+let fanin0 g id =
+  assert (is_and g id);
+  g.fanin0.(id)
+
+let fanin1 g id =
+  assert (is_and g id);
+  g.fanin1.(id)
+
 let levels g =
   let lv = Array.make g.n 0 in
   for id = 1 to g.n - 1 do

@@ -64,6 +64,12 @@ val input_name : t -> int -> string option
 (** Fanins of an AND node, as literals. *)
 val fanins : t -> int -> lit * lit
 
+(** The first and the second literal of {!fanins}, without building the
+    pair: for walks that must not allocate per node. *)
+val fanin0 : t -> int -> lit
+
+val fanin1 : t -> int -> lit
+
 (** Unit-delay level of every node (inputs and constant at level 0). *)
 val levels : t -> int array
 

@@ -1,48 +1,110 @@
-let node_name g id =
-  match Graph.input_name g id with
-  | Some s -> s
-  | None -> if Graph.is_input g id then Printf.sprintf "pi%d" (Graph.input_index g id) else Printf.sprintf "n%d" id
-
-let write_blif ?(model = "circuit") ppf g =
-  let open Format in
-  fprintf ppf ".model %s@." model;
-  let input_names =
-    List.map (fun l -> node_name g (Graph.node_of_lit l)) (Graph.inputs g)
+(* The name each node gets in written text: an input its own name, or
+   [pi<k>] when the input at position [k] has none; AND node [id] the
+   default [n<id>], marked by [""] in the table. A default that is also
+   the name of an input or an output would make the text read back as
+   another circuit, so that node takes the first free [<default>_<j>]:
+   no default has a ['_'], so this cannot meet another default either.
+   Only defaults parsed back from an input or output name can collide,
+   so the table is built from those, not from every node's name. *)
+let node_names g =
+  let names = Array.make (Graph.num_nodes g) "" in
+  let taken = Hashtbl.create 64 in
+  let unnamed = ref [] in
+  List.iteri
+    (fun k l ->
+      let id = Graph.node_of_lit l in
+      match Graph.input_name g id with
+      | Some s ->
+        names.(id) <- s;
+        Hashtbl.replace taken s ()
+      | None ->
+        names.(id) <- "pi" ^ string_of_int k;
+        unnamed := id :: !unnamed)
+    (Graph.inputs g);
+  List.iter (fun (s, _) -> Hashtbl.replace taken s ()) (Graph.outputs g);
+  let rec fresh base j =
+    let s = Printf.sprintf "%s_%d" base j in
+    if Hashtbl.mem taken s then fresh base (j + 1) else s
   in
-  fprintf ppf ".inputs %s@." (String.concat " " input_names);
-  fprintf ppf ".outputs %s@."
-    (String.concat " " (List.map fst (Graph.outputs g)));
+  Hashtbl.iter
+    (fun s () ->
+      if String.length s > 1 && s.[0] = 'n' then
+        match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
+        | Some id when Graph.is_and g id && "n" ^ string_of_int id = s ->
+          names.(id) <- fresh s 1
+        | _ -> ())
+    taken;
+  List.iter
+    (fun id -> if Hashtbl.mem taken names.(id) then names.(id) <- fresh names.(id) 1)
+    !unnamed;
+  names
+
+let name_of names id = if names.(id) = "" then "n" ^ string_of_int id else names.(id)
+
+let rec add_int b i =
+  if i >= 10 then add_int b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_name b names id =
+  let s = names.(id) in
+  if String.length s = 0 then begin
+    Buffer.add_char b 'n';
+    add_int b id
+  end
+  else Buffer.add_string b s
+
+let blif_to_string ?(model = "circuit") g =
+  let names = node_names g in
+  let b = Buffer.create (1024 + (32 * Graph.num_nodes g)) in
+  let line s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
+  in
+  line (".model " ^ model);
+  line
+    (".inputs "
+    ^ String.concat " "
+        (List.map (fun l -> names.(Graph.node_of_lit l)) (Graph.inputs g)));
+  line (".outputs " ^ String.concat " " (List.map fst (Graph.outputs g)));
+  let fanin l =
+    (* Constant fanins cannot occur: [Graph.band] folds them away. *)
+    assert (Graph.node_of_lit l <> 0);
+    add_name b names (Graph.node_of_lit l);
+    Buffer.add_char b ' '
+  in
   for id = 1 to Graph.num_nodes g - 1 do
     if Graph.is_and g id then begin
-      let f0, f1 = Graph.fanins g id in
-      (* Constant fanins cannot occur: [Graph.band] folds them away. *)
-      assert (Graph.node_of_lit f0 <> 0 && Graph.node_of_lit f1 <> 0);
-      let n0 = node_name g (Graph.node_of_lit f0) in
-      let n1 = node_name g (Graph.node_of_lit f1) in
-      let b0 = if Graph.is_complemented f0 then "0" else "1" in
-      let b1 = if Graph.is_complemented f1 then "0" else "1" in
-      fprintf ppf ".names %s %s %s@.%s%s 1@." n0 n1 (node_name g id) b0 b1
+      let f0 = Graph.fanin0 g id and f1 = Graph.fanin1 g id in
+      Buffer.add_string b ".names ";
+      fanin f0;
+      fanin f1;
+      add_name b names id;
+      Buffer.add_char b '\n';
+      Buffer.add_char b (if Graph.is_complemented f0 then '0' else '1');
+      Buffer.add_char b (if Graph.is_complemented f1 then '0' else '1');
+      Buffer.add_string b " 1\n"
     end
   done;
   List.iter
     (fun (name, l) ->
-      let src = node_name g (Graph.node_of_lit l) in
-      if Graph.node_of_lit l = 0 then
+      let id = Graph.node_of_lit l in
+      if id = 0 then begin
         (* Constant output. *)
-        if Graph.is_complemented l then fprintf ppf ".names %s@.1@." name
-        else fprintf ppf ".names %s@." name
-      else if Graph.is_complemented l then
-        fprintf ppf ".names %s %s@.0 1@." src name
-      else if src <> name then fprintf ppf ".names %s %s@.1 1@." src name)
+        line (".names " ^ name);
+        if Graph.is_complemented l then line "1"
+      end
+      else if Graph.is_complemented l || names.(id) <> name then begin
+        (* Only an input can share its output's name: an AND node's
+           default never does. *)
+        Buffer.add_string b ".names ";
+        add_name b names id;
+        Buffer.add_char b ' ';
+        line name;
+        line (if Graph.is_complemented l then "0 1" else "1 1")
+      end)
     (Graph.outputs g);
-  fprintf ppf ".end@."
-
-let blif_to_string ?model g =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  write_blif ?model ppf g;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+  line ".end";
+  Buffer.contents b
 
 let tokenize line =
   String.map (function '\t' -> ' ' | c -> c) line
@@ -186,14 +248,15 @@ let read_blif text =
 
 let write_bench ppf g =
   let open Format in
+  let names = node_names g in
   List.iter
-    (fun l -> fprintf ppf "INPUT(%s)@." (node_name g (Graph.node_of_lit l)))
+    (fun l -> fprintf ppf "INPUT(%s)@." (name_of names (Graph.node_of_lit l)))
     (Graph.inputs g);
   List.iter (fun (name, _) -> fprintf ppf "OUTPUT(%s)@." name) (Graph.outputs g);
   let emitted_inv = Hashtbl.create 16 in
   let ref_of l =
     let id = Graph.node_of_lit l in
-    let base = node_name g id in
+    let base = name_of names id in
     if Graph.is_complemented l then begin
       let nm = base ^ "_bar" in
       if not (Hashtbl.mem emitted_inv nm) then Hashtbl.replace emitted_inv nm base;
@@ -205,7 +268,7 @@ let write_bench ppf g =
   for id = 1 to Graph.num_nodes g - 1 do
     if Graph.is_and g id then begin
       let f0, f1 = Graph.fanins g id in
-      pending := (node_name g id, ref_of f0, ref_of f1) :: !pending
+      pending := (name_of names id, ref_of f0, ref_of f1) :: !pending
     end
   done;
   (* Resolve output references first so their inverters are recorded before

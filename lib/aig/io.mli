@@ -1,9 +1,11 @@
 (** Reading and writing circuits (BLIF subset and ISCAS BENCH formats). *)
 
-(** Write the graph as flat BLIF (two-input [.names] per AND gate,
-    inverters as one-input [.names]). *)
-val write_blif : ?model:string -> Format.formatter -> Graph.t -> unit
-
+(** The graph as flat BLIF text: a two-input [.names] per AND gate,
+    one-input [.names] for inverted and renamed outputs. Inputs keep
+    their names; an unnamed input is [pi<k>] after its position [k],
+    and AND node [id] is [n<id>]. Such a default name that is also an
+    input or output name becomes [<default>_<j>], the first one free,
+    so the text always reads back as the same circuit. *)
 val blif_to_string : ?model:string -> Graph.t -> string
 
 (** Parse a combinational BLIF subset: [.model], [.inputs], [.outputs],
@@ -12,7 +14,8 @@ val blif_to_string : ?model:string -> Graph.t -> string
     models). *)
 val read_blif : string -> Graph.t
 
-(** Write in ISCAS-89 BENCH style using AND/NOT gates. *)
+(** Write in ISCAS-89 BENCH style using AND/NOT gates, with the node
+    names of {!blif_to_string}. *)
 val write_bench : Format.formatter -> Graph.t -> unit
 
 (** Parse BENCH: [INPUT], [OUTPUT], and gates

@@ -59,8 +59,9 @@ let run ?(k = 5) ?(per_node = 6) ~objective src =
     (Graph.outputs src);
   Graph.cleanup dst
 
-let delay_fixpoint g =
-  let step g = Balance.run (run ~k:6 ~per_node:8 ~objective:`Delay g) in
+let delay_step g = Balance.run (run ~k:6 ~per_node:8 ~objective:`Delay g)
+
+let fixpoint ~step g =
   let better g' g =
     Graph.depth g' < Graph.depth g
     || Graph.depth g' = Graph.depth g
@@ -73,3 +74,5 @@ let delay_fixpoint g =
       if better g' g then go (i - 1) g' else g
   in
   go 6 (step g)
+
+let delay_fixpoint g = fixpoint ~step:delay_step g

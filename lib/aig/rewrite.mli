@@ -11,8 +11,16 @@ type objective = [ `Delay | `Area ]
 (** [run ?k ?per_node ~objective g] is an equivalent rewritten graph. *)
 val run : ?k:int -> ?per_node:int -> objective:objective -> Graph.t -> Graph.t
 
-(** [delay_fixpoint g] is the conventional delay cleanup: one
-    [`Delay] rewrite ([k = 6], [per_node = 8]) followed by
-    {!Balance.run}, then up to six more such steps, each kept only
-    while depth falls, or depth ties and the AND count falls. *)
+(** One step of {!delay_fixpoint}: a [`Delay] rewrite ([k = 6],
+    [per_node = 8]) followed by {!Balance.run}. *)
+val delay_step : Graph.t -> Graph.t
+
+(** [fixpoint ~step g] runs [step] on [g], then up to six more steps,
+    each kept only while depth falls, or depth ties and the AND count
+    falls. The last step computed is the one rejected, unless all six
+    were kept. *)
+val fixpoint : step:(Graph.t -> Graph.t) -> Graph.t -> Graph.t
+
+(** [delay_fixpoint g] is the conventional delay cleanup:
+    [fixpoint ~step:delay_step g]. *)
 val delay_fixpoint : Graph.t -> Graph.t

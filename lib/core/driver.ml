@@ -528,13 +528,6 @@ let one_round opts ~deadline g =
     (Aig.cleanup dst, !decomposed)
   end
 
-(* Conventional delay-oriented cleanup (balance + cut rewriting to a
-   bounded fixpoint). The paper's technique complements standard logic
-   optimization — it was run inside ABC on conventionally optimized
-   circuits — so the driver applies the same polish before and after the
-   decomposition rounds. *)
-let polish g = Obs.with_span sp_polish (fun () -> Aig.Rewrite.delay_fixpoint g)
-
 let balance g = Obs.with_span sp_balance (fun () -> Aig.Balance.run g)
 
 let optimize_with_stats ?(options = default) g0 =
@@ -550,6 +543,26 @@ let optimize_with_stats ?(options = default) g0 =
      Deliberately deadline-free — the finishing passes always run to
      completion, like the existing flow. *)
   let run_guard = Guard.create options.guard_budget in
+  (* Conventional delay-oriented cleanup (balance + cut rewriting to a
+     bounded fixpoint). The paper's technique complements standard logic
+     optimization — it was run inside ABC on conventionally optimized
+     circuits — so the driver applies the same polish before and after
+     the decomposition rounds. A polish ends on a step it rejects; when
+     the rounds after it change nothing, the next polish starts on the
+     very graph that step was computed from, so the last step is kept
+     with its input and reused when the input is the same graph. *)
+  let last_step = ref None in
+  let step g =
+    match !last_step with
+    | Some (src, g') when src == g -> g'
+    | _ ->
+      let g' = Aig.Rewrite.delay_step g in
+      last_step := Some (g, g');
+      g'
+  in
+  let polish g =
+    Obs.with_span sp_polish (fun () -> Aig.Rewrite.fixpoint ~step g)
+  in
   (* Inner loop: decomposition rounds while the depth improves. *)
   let rec rounds i g touched =
     if i >= options.max_rounds || Guard.Deadline.expired deadline then

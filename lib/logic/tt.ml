@@ -189,6 +189,10 @@ let of_fun n f =
   done;
   t
 
+let of_words n words =
+  assert (n >= 0 && n <= 20 && Array.length words = words_for n);
+  normalize { n; words }
+
 let permute t perm =
   assert (Array.length perm = t.n);
   of_fun t.n (fun m ->

@@ -72,6 +72,13 @@ val minterms : t -> int list
 (** [of_fun n f] tabulates [f] over the [2^n] minterms. *)
 val of_fun : int -> (int -> bool) -> t
 
+(** [of_words n ws] is the function of [n] variables whose packed words
+    are [ws]: word [w] holds minterms [64 w] to [64 w + 63], bit [m]
+    of the table as in {!get_bit}. [ws] must hold one word when
+    [n <= 6] and [2^(n - 6)] words otherwise. It is taken, not copied,
+    and bits past [2^n] are cleared. *)
+val of_words : int -> int64 array -> t
+
 (** [cube n ~mask ~bits] is true on the minterms [m] with
     [m land mask = bits]: the cube binding variable [i] to bit [i] of
     [bits] wherever bit [i] of [mask] is set. [bits] must be 0 outside

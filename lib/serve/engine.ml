@@ -177,9 +177,15 @@ let journal_admitted ?sched (spec : Msg.submit) =
            ("tool", Obs.Json.String spec.tool) ])
     ?sched ()
 
+(* A job's fixed cost after the optimizer: mapping and measuring its
+   output, and writing it as BLIF. Not driver phases, so neither reaches
+   the journal's phase events or progress lines. *)
+let sp_metrics = Obs.span "job.metrics"
+let sp_blif = Obs.span "job.blif"
+
 (* The one job sequence, for executor jobs and cold runs alike: arm
-   injection, reset observation, load, optimize, measure, snapshot,
-   serialize. Returns a finished result (state Done/Failed/Cancelled)
+   injection, reset observation, load, optimize, measure, serialize,
+   snapshot. Returns a finished result (state Done/Failed/Cancelled)
    together with the job's Obs snapshot (when one was taken) and its
    size class. [intern] is the warm state: [Some] table for executor
    jobs, [None] for a cold run. *)
@@ -257,20 +263,26 @@ let execute_ex ~intern ~id ~trace (spec : Msg.submit) ~rules
       }
     in
     let optimized = Run.tool ~options spec.tool g in
-    let metrics = Run.metrics ~original:g optimized in
+    let metrics =
+      Obs.with_span sp_metrics (fun () -> Run.metrics ~original:g optimized)
+    in
+    (* Written before the snapshot, so that its span lands in the job's
+       report and trace slice. *)
+    let blif =
+      if spec.want_blif && not (Guard.Deadline.cancelled cancel_handle) then
+        Some (Obs.with_span sp_blif (fun () -> Run.blif_of ~name optimized))
+      else None
+    in
     let snap = Obs.snapshot () in
-    (cls, optimized, metrics, snap)
+    (cls, metrics, blif, snap)
   with
-  | cls, optimized, metrics, snap ->
+  | cls, metrics, blif, snap ->
     if Guard.Deadline.cancelled cancel_handle then
       finish Msg.Cancelled ~cls ~metrics:None ~degraded:(Run.degraded snap)
         ~error:None ~blif:None ~report:None ~snap:(Some snap)
     else
       finish Msg.Done ~cls ~metrics:(Some metrics)
-        ~degraded:(Run.degraded snap) ~error:None
-        ~blif:
-          (if spec.want_blif then Some (Run.blif_of ~name optimized)
-           else None)
+        ~degraded:(Run.degraded snap) ~error:None ~blif
         ~report:
           (if spec.want_report then Some (Obs.report_json snap) else None)
         ~snap:(Some snap)

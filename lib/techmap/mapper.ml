@@ -27,121 +27,178 @@ let rec permutations = function
         List.map (fun p -> x :: p) (permutations rest))
       l
 
-(* Match table: truth table (over the cut leaves) -> variants realizing
-   exactly that function. Built once. *)
+(* The function a variant computes over the cut leaves, packed as
+   [Aig.Cuts.table] packs a cut's: leaf j feeds the cell inputs i with
+   perm.(i) = j, inverted per phase bit. *)
+let variant_table (cell : Library.cell) perm phases =
+  let a = cell.Library.arity in
+  let f = ref 0 in
+  for m = 0 to (1 lsl a) - 1 do
+    let v = ref 0 in
+    for i = 0 to a - 1 do
+      let leaf_bit = (m lsr perm.(i)) land 1 = 1 in
+      let bit = leaf_bit <> ((phases lsr i) land 1 = 1) in
+      if bit then v := !v lor (1 lsl i)
+    done;
+    if Logic.Tt.get_bit cell.Library.func !v then f := !f lor (1 lsl m)
+  done;
+  !f
+
+(* The leaves a variant reads inverted, as a bit set. With the cell, it
+   names the variant's set of (leaf, phase) pins. *)
+let inverted_leaves v =
+  let s = ref 0 in
+  Array.iteri
+    (fun i j -> if (v.phases lsr i) land 1 = 1 then s := !s lor (1 lsl j))
+    v.perm;
+  !s
+
+(* Match table: [keys] holds [(arity lsl 16) lor table] for every
+   function a cell variant computes over a cut's leaves, sorted;
+   [variants.(i)] the variants computing [keys.(i)], last built first.
+   A variant with the same cell and the same (leaf, phase) pins as an
+   earlier one in its list has the same arrival, so it can never pass
+   the strict [<] of [map] and is left out: the choice is the same
+   without it. *)
+type index = { keys : int array; variants : variant array array }
+
+let key arity table = (arity lsl 16) lor table
+
 let match_table =
   lazy
-    (let table = Logic.Tt.Tbl.create 4096 in
+    (let lists = Hashtbl.create 1024 in
      List.iter
        (fun (cell : Library.cell) ->
          let a = cell.Library.arity in
-         let perms = permutations (List.init a Fun.id) in
          List.iter
            (fun perm ->
              let perm = Array.of_list perm in
              for phases = 0 to (1 lsl a) - 1 do
-               (* Function over the leaves: leaf j feeds the cell inputs i
-                  with perm.(i) = j, inverted per phase bit. *)
-               let f =
-                 Logic.Tt.of_fun a (fun m ->
-                     let v = ref 0 in
-                     for i = 0 to a - 1 do
-                       let leaf_bit = (m lsr perm.(i)) land 1 = 1 in
-                       let bit = leaf_bit <> ((phases lsr i) land 1 = 1) in
-                       if bit then v := !v lor (1 lsl i)
-                     done;
-                     Logic.Tt.get_bit cell.Library.func !v)
-               in
-               let prev = try Logic.Tt.Tbl.find table f with Not_found -> [] in
-               Logic.Tt.Tbl.replace table f ({ cell; perm; phases } :: prev)
+               let k = key a (variant_table cell perm phases) in
+               let prev = try Hashtbl.find lists k with Not_found -> [] in
+               Hashtbl.replace lists k ({ cell; perm; phases } :: prev)
              done)
-           perms)
+           (permutations (List.init a Fun.id)))
        Library.cells;
-     table)
+     (* The first variant of each cell and set of inverted leaves. *)
+     let rec distinct seen = function
+       | [] -> []
+       | v :: rest ->
+         let pins = inverted_leaves v in
+         if List.exists (fun (w, p) -> w.cell == v.cell && p = pins) seen
+         then distinct seen rest
+         else v :: distinct ((v, pins) :: seen) rest
+     in
+     let keys =
+       Array.of_list
+         (List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) lists []))
+     in
+     { keys;
+       variants =
+         Array.map (fun k -> Array.of_list (distinct [] (Hashtbl.find lists k))) keys })
+
+(* Position of [k] in [keys], or -1. *)
+let find idx k =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let km = idx.keys.(mid) in
+      if km = k then mid else if km < k then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length idx.keys)
 
 (* Forced by the first [map] call rather than at start-up, which would
    charge every process ~5 ms before its first optimizer call. Portfolio
    arms map from several domains at once, and a domain forcing a lazy
    value that another domain is still computing raises
    [CamlinternalLazy.Undefined], so the force runs under a lock. Once
-   built the table is only read. *)
+   built the index is only read. *)
 let match_table_lock = Mutex.create ()
 
-(* Chosen implementation of one (node, phase). *)
-type choice =
-  | Primary  (** primary input or constant, positive phase *)
-  | Inverter  (** realized from the opposite phase through an INV *)
-  | Match of variant * int array  (** variant + cut leaves *)
+(* How one (node, phase) is realized: a primary input or constant in
+   positive phase, the opposite phase through an INV, or a match, whose
+   variant and cut leaves [map] keeps beside it. *)
+type choice = Primary | Inverter | Match
 
 let inv_delay = Library.inverter.Library.intrinsic
 
 let map g =
-  let table =
+  let idx =
     Mutex.protect match_table_lock (fun () -> Lazy.force match_table)
   in
-  let matches_for tt = try Logic.Tt.Tbl.find table tt with Not_found -> [] in
   let nn = Aig.num_nodes g in
   let cuts = Aig.Cuts.enumerate g ~k:4 ~per_node:6 in
+  (* Index [2 * id + 1] is node [id] inverted. *)
   let arrival = Array.make (2 * nn) infinity in
   let choice = Array.make (2 * nn) Primary in
-  let idx id inverted = (2 * id) + if inverted then 1 else 0 in
-  arrival.(idx 0 false) <- 0.0;
-  arrival.(idx 0 true) <- 0.0;
-  choice.(idx 0 true) <- Inverter;
+  let variant = Array.make (2 * nn) { cell = Library.inverter; perm = [||]; phases = 0 } in
+  let cut_leaves = Array.make (2 * nn) [||] in
+  arrival.(0) <- 0.0;
+  arrival.(1) <- 0.0;
+  choice.(1) <- Inverter;
   List.iter
     (fun l ->
       let id = Aig.node_of_lit l in
-      arrival.(idx id false) <- 0.0;
-      arrival.(idx id true) <- inv_delay;
-      choice.(idx id true) <- Inverter)
+      arrival.(2 * id) <- 0.0;
+      arrival.((2 * id) + 1) <- inv_delay;
+      choice.((2 * id) + 1) <- Inverter)
     (Aig.inputs g);
+  let try_variants o leaves vs =
+    for x = 0 to Array.length vs - 1 do
+      let v = vs.(x) in
+      let worst = ref 0.0 in
+      for i = 0 to Array.length v.perm - 1 do
+        let a = arrival.((2 * leaves.(v.perm.(i))) + ((v.phases lsr i) land 1)) in
+        if a > !worst then worst := a
+      done;
+      let a = !worst +. v.cell.Library.intrinsic in
+      if a < arrival.(o) then begin
+        arrival.(o) <- a;
+        choice.(o) <- Match;
+        variant.(o) <- v;
+        cut_leaves.(o) <- leaves
+      end
+    done
+  in
+  let try_table o leaves n t =
+    let i = find idx (key n t) in
+    if i >= 0 then try_variants o leaves idx.variants.(i)
+  in
+  let rec try_cuts id = function
+    | [] -> ()
+    | c :: rest ->
+      let leaves = Aig.Cuts.leaves c in
+      let n = Array.length leaves in
+      if n >= 1 && not (n = 1 && leaves.(0) = id) then begin
+        let t = Aig.Cuts.table c in
+        try_table (2 * id) leaves n t;
+        try_table ((2 * id) + 1) leaves n (t lxor ((1 lsl (1 lsl n)) - 1))
+      end;
+      try_cuts id rest
+  in
+  (* Phase relaxation through an inverter. *)
+  let relax a b =
+    if arrival.(a) +. inv_delay < arrival.(b) then begin
+      arrival.(b) <- arrival.(a) +. inv_delay;
+      choice.(b) <- Inverter
+    end
+  in
   for id = 1 to nn - 1 do
     if Aig.is_and g id then begin
-      List.iter
-        (fun c ->
-          let leaves = Aig.Cuts.leaves c in
-          if Array.length leaves >= 1 && leaves <> [| id |] then begin
-            let try_phase tt inverted =
-              List.iter
-                (fun (v : variant) ->
-                  let worst = ref 0.0 in
-                  Array.iteri
-                    (fun i leaf_pos ->
-                      let leaf = leaves.(leaf_pos) in
-                      let inv = (v.phases lsr i) land 1 = 1 in
-                      let a = arrival.(idx leaf inv) in
-                      if a > !worst then worst := a)
-                    v.perm;
-                  let a = !worst +. v.cell.Library.intrinsic in
-                  if a < arrival.(idx id inverted) then begin
-                    arrival.(idx id inverted) <- a;
-                    choice.(idx id inverted) <- Match (v, leaves)
-                  end)
-                (matches_for tt)
-            in
-            let tt = Aig.Cuts.tt c in
-            try_phase tt false;
-            try_phase (Logic.Tt.lnot tt) true
-          end)
-        cuts.(id);
-      (* Phase relaxation through inverters, both directions. *)
-      let relax a b =
-        if arrival.(a) +. inv_delay < arrival.(b) then begin
-          arrival.(b) <- arrival.(a) +. inv_delay;
-          choice.(b) <- Inverter
-        end
-      in
-      relax (idx id false) (idx id true);
-      relax (idx id true) (idx id false)
+      try_cuts id cuts.(id);
+      relax (2 * id) ((2 * id) + 1);
+      relax ((2 * id) + 1) (2 * id)
     end
   done;
   (* Extract the cover from the outputs. *)
   let gates = ref [] in
-  let produced = Hashtbl.create 256 in
+  let produced = Array.make (2 * nn) false in
   let rec require id inverted =
-    if not (Hashtbl.mem produced (id, inverted)) then begin
-      Hashtbl.replace produced (id, inverted) ();
-      match choice.(idx id inverted) with
+    let o = (2 * id) + if inverted then 1 else 0 in
+    if not produced.(o) then begin
+      produced.(o) <- true;
+      match choice.(o) with
       | Primary -> ()
       | Inverter ->
         require id (not inverted);
@@ -152,15 +209,14 @@ let map g =
             out = { node = id; inverted };
           }
           :: !gates
-      | Match (v, leaves) ->
+      | Match ->
+        let v = variant.(o) and leaves = cut_leaves.(o) in
         let fanins =
-          Array.map
-            (fun i ->
+          Array.init v.cell.Library.arity (fun i ->
               let leaf = leaves.(v.perm.(i)) in
               let inv = (v.phases lsr i) land 1 = 1 in
               require leaf inv;
               { node = leaf; inverted = inv })
-            (Array.init v.cell.Library.arity Fun.id)
         in
         gates := { cell = v.cell; fanins; out = { node = id; inverted } } :: !gates
     end

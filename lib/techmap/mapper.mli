@@ -1,8 +1,9 @@
 (** Cut-based structural technology mapping onto {!Library.cells}.
 
     Classic phase-aware covering: 4-feasible cuts are matched against a
-    precomputed table of all permutation / input-phase / output-phase
-    variants of every cell; dynamic programming picks the
+    precomputed index of all permutation / input-phase / output-phase
+    variants of every cell, looked up by cut size and the cut's truth
+    table packed in an int; dynamic programming picks the
     minimum-arrival match for each (node, phase); the cover is extracted
     from the outputs, inserting inverters where a phase is not produced
     natively. Delay is then re-evaluated with the load model

@@ -182,6 +182,129 @@ let test_cec_detects_difference () =
   Alcotest.(check bool) "and == and" true
     (Aig.Cec.equivalent (mk false) (mk false))
 
+(* [Io.blif_to_string]'s oracle: the writer that flushed a [Format]
+   formatter per line and named nodes without looking at the input and
+   output names. *)
+let reference_blif ?(model = "circuit") g =
+  let node_name id =
+    match Aig.input_name g id with
+    | Some s -> s
+    | None ->
+      if Aig.is_input g id then Printf.sprintf "pi%d" (Aig.input_index g id)
+      else Printf.sprintf "n%d" id
+  in
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  let open Format in
+  fprintf ppf ".model %s@." model;
+  let input_names =
+    List.map (fun l -> node_name (Aig.node_of_lit l)) (Aig.inputs g)
+  in
+  fprintf ppf ".inputs %s@." (String.concat " " input_names);
+  fprintf ppf ".outputs %s@." (String.concat " " (List.map fst (Aig.outputs g)));
+  for id = 1 to Aig.num_nodes g - 1 do
+    if Aig.is_and g id then begin
+      let f0, f1 = Aig.fanins g id in
+      let n0 = node_name (Aig.node_of_lit f0) in
+      let n1 = node_name (Aig.node_of_lit f1) in
+      let b0 = if Aig.is_complemented f0 then "0" else "1" in
+      let b1 = if Aig.is_complemented f1 then "0" else "1" in
+      fprintf ppf ".names %s %s %s@.%s%s 1@." n0 n1 (node_name id) b0 b1
+    end
+  done;
+  List.iter
+    (fun (name, l) ->
+      let src = node_name (Aig.node_of_lit l) in
+      if Aig.node_of_lit l = 0 then
+        if Aig.is_complemented l then fprintf ppf ".names %s@.1@." name
+        else fprintf ppf ".names %s@." name
+      else if Aig.is_complemented l then
+        fprintf ppf ".names %s %s@.0 1@." src name
+      else if src <> name then fprintf ppf ".names %s %s@.1 1@." src name)
+    (Aig.outputs g);
+  fprintf ppf ".end@.";
+  pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* A random graph whose inputs and outputs take distinct names from
+   [pool] ([None]: the input stays unnamed), with constant, inverted
+   and input-driven outputs among the others. *)
+let named_aig ~pool seed =
+  let st = Random.State.make [| seed; 7 |] in
+  let pool = Array.of_list pool in
+  for i = Array.length pool - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = pool.(i) in
+    pool.(i) <- pool.(j);
+    pool.(j) <- t
+  done;
+  let next = ref 0 in
+  let take () =
+    let s = pool.(!next) in
+    incr next;
+    s
+  in
+  let g = Aig.create () in
+  let inputs = 2 + Random.State.int st 5 in
+  let ins =
+    Array.init inputs (fun _ ->
+        if Random.State.bool st then Aig.add_input g
+        else Aig.add_input ~name:(take ()) g)
+  in
+  let lits = ref (Array.to_list ins) in
+  let pick () =
+    let l = List.nth !lits (Random.State.int st (List.length !lits)) in
+    if Random.State.bool st then Aig.bnot l else l
+  in
+  for _ = 1 to 2 + Random.State.int st 30 do
+    lits := Aig.band g (pick ()) (pick ()) :: !lits
+  done;
+  for _ = 0 to Random.State.int st 4 do
+    let l =
+      match Random.State.int st 8 with
+      | 0 -> if Random.State.bool st then Aig.const_true else Aig.const_false
+      | 1 -> ins.(Random.State.int st inputs)
+      | _ -> pick ()
+    in
+    Aig.add_output g (take ()) l
+  done;
+  g
+
+(* Names that cannot collide with a default: the text is the old
+   writer's, byte for byte. *)
+let prop_blif_reference =
+  qtest ~count:100 "blif text matches the reference writer" gen_seed
+    (fun seed ->
+      let g = named_aig ~pool:(List.init 20 (Printf.sprintf "s%d")) seed in
+      Aig.Io.blif_to_string ~model:"m" g = reference_blif ~model:"m" g)
+
+(* Names drawn from defaults of this graph's size: the text reads back
+   as the same circuit. *)
+let prop_blif_collisions =
+  qtest ~count:200 "blif roundtrip with default-like names" gen_seed
+    (fun seed ->
+      let pool =
+        List.init 40 (Printf.sprintf "n%d")
+        @ List.init 8 (Printf.sprintf "pi%d")
+        @ [ "n4_1"; "pi0_1"; "n04"; "a" ]
+      in
+      let g = named_aig ~pool seed in
+      let g' = Aig.Io.read_blif (Aig.Io.blif_to_string g) in
+      List.map fst (Aig.outputs g) = List.map fst (Aig.outputs g')
+      && check_equiv_and_report "blif" g g')
+
+(* The two texts that the old writer corrupted: an input named like the
+   AND node it feeds, and an output named like an AND node that does not
+   drive it. *)
+let test_blif_name_collisions () =
+  List.iter
+    (fun text ->
+      let g = Aig.Io.read_blif text in
+      let g' = Aig.Io.read_blif (Aig.Io.blif_to_string g) in
+      Alcotest.(check bool) "equivalent" true (check_equiv_and_report "blif" g g'))
+    [ ".model t\n.inputs n4 b c\n.outputs y\n.names n4 b t\n11 1\n.names t c y\n11 1\n.end\n";
+      ".model t\n.inputs a b c\n.outputs n4 z\n.names a b t\n11 1\n.names t c n4\n11 1\n.names t z\n0 1\n.end\n" ]
+
 let prop_blif_roundtrip =
   qtest ~count:30 "blif write/read roundtrip" gen_seed (fun seed ->
       let g = random_aig ~inputs:5 ~gates:30 seed in
@@ -325,6 +448,109 @@ let prop_cut_functions =
               && Tt.equal (Tt.of_fun inputs expand) (Aig.tt_of_lit g root))
             reads)
         [ (4, 6); (6, 8); (8, 10) ])
+
+(* [Cuts.enumerate]'s oracle: the enumeration before leaf signatures
+   and scratch-array pruning, leaves only. Every fanin cut pair is merged
+   into a fresh array, duplicates are found with polymorphic [=] against
+   the newest-first list of merged cuts, which is then stably sorted by
+   cost and cut to [per_node]. *)
+let reference_cut_leaves g ~k ~per_node =
+  let nn = Aig.num_nodes g in
+  let cuts = Array.make nn [] in
+  let merge_leaves a b =
+    let la = Array.length a and lb = Array.length b in
+    let out = Array.make k 0 in
+    let rec go i j n =
+      if i = la && j = lb then Some (Array.sub out 0 n)
+      else if i = la then push b.(j) i (j + 1) n
+      else if j = lb then push a.(i) (i + 1) j n
+      else if a.(i) = b.(j) then push a.(i) (i + 1) (j + 1) n
+      else if a.(i) < b.(j) then push a.(i) (i + 1) j n
+      else push b.(j) i (j + 1) n
+    and push v i j n =
+      if n = k then None
+      else begin
+        out.(n) <- v;
+        go i j (n + 1)
+      end
+    in
+    go 0 0 0
+  in
+  let lv = Aig.levels g in
+  let cut_cost leaves =
+    let d = Array.fold_left (fun acc id -> max acc lv.(id)) 0 leaves in
+    (d * 100) + Array.length leaves
+  in
+  for id = 1 to nn - 1 do
+    if Aig.is_input g id then cuts.(id) <- [ [| id |] ]
+    else if Aig.is_and g id then begin
+      let f0, f1 = Aig.fanins g id in
+      let id0 = Aig.node_of_lit f0 and id1 = Aig.node_of_lit f1 in
+      let c0s = if id0 = 0 then [ [| 0 |] ] else cuts.(id0) in
+      let c1s = if id1 = 0 then [ [| 0 |] ] else cuts.(id1) in
+      let merged = ref [] in
+      List.iter
+        (fun c0 ->
+          List.iter
+            (fun c1 ->
+              match merge_leaves c0 c1 with
+              | None -> ()
+              | Some leaves ->
+                if not (List.exists (fun c -> c = leaves) !merged) then
+                  merged := leaves :: !merged)
+            c1s)
+        c0s;
+      let sorted =
+        List.map (fun c -> (cut_cost c, c)) !merged
+        |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+        |> List.map snd
+      in
+      let rec take n = function
+        | [] -> []
+        | _ when n = 0 -> []
+        | x :: rest -> x :: take (n - 1) rest
+      in
+      let kept = take per_node sorted in
+      let direct =
+        if id0 = id1 then [| id0 |]
+        else if id0 < id1 then [| id0; id1 |]
+        else [| id1; id0 |]
+      in
+      let kept = if List.mem direct kept then kept else direct :: kept in
+      cuts.(id) <- [| id |] :: kept
+    end
+  done;
+  cuts
+
+(* Every node's cut leaves, in order, as the reference gives them, at
+   k = 4, 6 and 8 and per_node 6 and 8. *)
+let prop_cut_leaves =
+  qtest ~count:25 "cut leaves match the reference enumeration" gen_seed
+    (fun seed ->
+      List.for_all
+        (fun (k, per_node, inputs, gates) ->
+          let g = random_aig ~inputs ~gates seed in
+          let cuts = Aig.Cuts.enumerate g ~k ~per_node in
+          let reference = reference_cut_leaves g ~k ~per_node in
+          Array.for_all2
+            (fun cs ref_cs -> List.map Aig.Cuts.leaves cs = ref_cs)
+            cuts reference)
+        [ (4, 6, 6, 80); (4, 8, 8, 120); (6, 6, 8, 120); (6, 8, 10, 150);
+          (8, 6, 10, 150); (8, 8, 12, 200) ])
+
+(* [Cuts.table] packs [Cuts.tt] into an int, bit [m] for minterm [m]. *)
+let prop_cut_table =
+  qtest ~count:25 "cut table packs the cut function" gen_seed (fun seed ->
+      let g = random_aig ~inputs:8 ~gates:80 seed in
+      let cuts = Aig.Cuts.enumerate g ~k:5 ~per_node:6 in
+      Array.for_all
+        (List.for_all (fun c ->
+             let tt = Aig.Cuts.tt c and t = Aig.Cuts.table c in
+             List.for_all
+               (fun m -> Tt.get_bit tt m = ((t lsr m) land 1 = 1))
+               (List.init (Tt.size tt) Fun.id)
+             && t lsr Tt.size tt = 0))
+        cuts)
 
 (* [Synth.divisor]'s oracle: the divisor choice before it moved to
    arrays, on an unseeded table so that [OCAMLRUNPARAM=R] cannot reorder
@@ -507,6 +733,8 @@ let () =
           Alcotest.test_case "sweep takes the later shallower twin" `Quick
             test_sweep_takes_later_shallower;
           prop_cut_functions;
+          prop_cut_leaves;
+          prop_cut_table;
           prop_of_tt_wide;
           prop_divisor;
           prop_leaf_order;
@@ -517,6 +745,10 @@ let () =
         [
           Alcotest.test_case "cec detects difference" `Quick test_cec_detects_difference;
           prop_blif_roundtrip;
+          prop_blif_reference;
+          prop_blif_collisions;
+          Alcotest.test_case "blif names like defaults" `Quick
+            test_blif_name_collisions;
           prop_bench_roundtrip;
           Alcotest.test_case "blif combinational loop" `Quick test_blif_loop;
           Alcotest.test_case "blif tab-separated tokens" `Quick test_blif_tabs;

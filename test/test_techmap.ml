@@ -6,6 +6,11 @@ module Tt = Logic.Tt
 let qtest ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
+(* Exact float equality, printed in full so a last-bit difference
+   shows. *)
+let exact_float =
+  Alcotest.testable (fun ppf -> Format.fprintf ppf "%h") Float.equal
+
 let gen_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100000)
 
 let random_aig ?(inputs = 6) ?(gates = 50) ?(outputs = 3) seed =
@@ -99,6 +104,241 @@ let test_delay_monotone_in_depth () =
   let d_cla = Techmap.Mapper.delay (Techmap.Mapper.map cla) in
   Alcotest.(check bool) "cla maps faster" true (d_cla < d_rca)
 
+(* [Mapper.map]'s oracle: the mapper before the integer match index.
+   Its table is keyed by [Tt.t] and keeps every variant, equivalent ones
+   included; a cut's complement is [Tt.lnot]. *)
+type ref_variant = { cell : Techmap.Library.cell; perm : int array; phases : int }
+
+let reference_table =
+  lazy
+    (let rec permutations = function
+       | [] -> [ [] ]
+       | l ->
+         List.concat_map
+           (fun x ->
+             let rest = List.filter (fun y -> y <> x) l in
+             List.map (fun p -> x :: p) (permutations rest))
+           l
+     in
+     let table = Tt.Tbl.create 4096 in
+     List.iter
+       (fun (cell : Techmap.Library.cell) ->
+         let a = cell.Techmap.Library.arity in
+         List.iter
+           (fun perm ->
+             let perm = Array.of_list perm in
+             for phases = 0 to (1 lsl a) - 1 do
+               let f =
+                 Tt.of_fun a (fun m ->
+                     let v = ref 0 in
+                     for i = 0 to a - 1 do
+                       let leaf_bit = (m lsr perm.(i)) land 1 = 1 in
+                       let bit = leaf_bit <> ((phases lsr i) land 1 = 1) in
+                       if bit then v := !v lor (1 lsl i)
+                     done;
+                     Tt.get_bit cell.Techmap.Library.func !v)
+               in
+               let prev = try Tt.Tbl.find table f with Not_found -> [] in
+               Tt.Tbl.replace table f ({ cell; perm; phases } :: prev)
+             done)
+           (permutations (List.init a Fun.id)))
+       Techmap.Library.cells;
+     table)
+
+type ref_choice = Primary | Inverter | Match of ref_variant * int array
+
+let reference_map g : Techmap.Mapper.gate list =
+  let module M = Techmap.Mapper in
+  let table = Lazy.force reference_table in
+  let matches_for tt = try Tt.Tbl.find table tt with Not_found -> [] in
+  let inv_delay = Techmap.Library.inverter.Techmap.Library.intrinsic in
+  let nn = Aig.num_nodes g in
+  let cuts = Aig.Cuts.enumerate g ~k:4 ~per_node:6 in
+  let arrival = Array.make (2 * nn) infinity in
+  let choice = Array.make (2 * nn) Primary in
+  let idx id inverted = (2 * id) + if inverted then 1 else 0 in
+  arrival.(idx 0 false) <- 0.0;
+  arrival.(idx 0 true) <- 0.0;
+  choice.(idx 0 true) <- Inverter;
+  List.iter
+    (fun l ->
+      let id = Aig.node_of_lit l in
+      arrival.(idx id false) <- 0.0;
+      arrival.(idx id true) <- inv_delay;
+      choice.(idx id true) <- Inverter)
+    (Aig.inputs g);
+  for id = 1 to nn - 1 do
+    if Aig.is_and g id then begin
+      List.iter
+        (fun c ->
+          let leaves = Aig.Cuts.leaves c in
+          if Array.length leaves >= 1 && leaves <> [| id |] then begin
+            let try_phase tt inverted =
+              List.iter
+                (fun (v : ref_variant) ->
+                  let worst = ref 0.0 in
+                  Array.iteri
+                    (fun i leaf_pos ->
+                      let leaf = leaves.(leaf_pos) in
+                      let inv = (v.phases lsr i) land 1 = 1 in
+                      let a = arrival.(idx leaf inv) in
+                      if a > !worst then worst := a)
+                    v.perm;
+                  let a = !worst +. v.cell.Techmap.Library.intrinsic in
+                  if a < arrival.(idx id inverted) then begin
+                    arrival.(idx id inverted) <- a;
+                    choice.(idx id inverted) <- Match (v, leaves)
+                  end)
+                (matches_for tt)
+            in
+            let tt = Aig.Cuts.tt c in
+            try_phase tt false;
+            try_phase (Tt.lnot tt) true
+          end)
+        cuts.(id);
+      let relax a b =
+        if arrival.(a) +. inv_delay < arrival.(b) then begin
+          arrival.(b) <- arrival.(a) +. inv_delay;
+          choice.(b) <- Inverter
+        end
+      in
+      relax (idx id false) (idx id true);
+      relax (idx id true) (idx id false)
+    end
+  done;
+  let gates = ref [] in
+  let produced = Hashtbl.create 256 in
+  let rec require id inverted =
+    if not (Hashtbl.mem produced (id, inverted)) then begin
+      Hashtbl.replace produced (id, inverted) ();
+      match choice.(idx id inverted) with
+      | Primary -> ()
+      | Inverter ->
+        require id (not inverted);
+        gates :=
+          { M.cell = Techmap.Library.inverter;
+            fanins = [| { M.node = id; inverted = not inverted } |];
+            out = { M.node = id; inverted } }
+          :: !gates
+      | Match (v, leaves) ->
+        let fanins =
+          Array.map
+            (fun i ->
+              let leaf = leaves.(v.perm.(i)) in
+              let inv = (v.phases lsr i) land 1 = 1 in
+              require leaf inv;
+              { M.node = leaf; inverted = inv })
+            (Array.init v.cell.Techmap.Library.arity Fun.id)
+        in
+        gates := { M.cell = v.cell; fanins; out = { M.node = id; inverted } } :: !gates
+    end
+  in
+  List.iter
+    (fun (_, l) ->
+      let id = Aig.node_of_lit l and inv = Aig.is_complemented l in
+      if id <> 0 then require id inv)
+    (Aig.outputs g);
+  List.rev !gates
+
+let show_gates (gates : Techmap.Mapper.gate list) =
+  let signal (s : Techmap.Mapper.signal) =
+    Printf.sprintf "%d%s" s.Techmap.Mapper.node
+      (if s.Techmap.Mapper.inverted then "'" else "")
+  in
+  List.map
+    (fun (g : Techmap.Mapper.gate) ->
+      String.concat " "
+        ((g.Techmap.Mapper.cell.Techmap.Library.name
+         :: Array.to_list (Array.map signal g.Techmap.Mapper.fanins))
+        @ [ "->"; signal g.Techmap.Mapper.out ]))
+    gates
+
+(* [Power.dynamic_mw]'s oracle: 32 rounds of the boxed [Aig.sim] and a
+   load table of its own, filled as [Mapper.loads] fills one. *)
+let reference_power (n : Techmap.Mapper.netlist) =
+  let module M = Techmap.Mapper in
+  let module L = Techmap.Library in
+  let g = n.M.source in
+  let ni = Aig.num_inputs g in
+  let nn = Aig.num_nodes g in
+  let ones = Array.make nn 0 in
+  let st = Random.State.make [| 0x9043 land max_int; nn |] in
+  for _ = 1 to 32 do
+    let words = Array.init ni (fun _ -> Random.State.int64 st Int64.max_int) in
+    let values = Aig.sim g words in
+    for id = 0 to nn - 1 do
+      let rec popcount w acc =
+        if w = 0L then acc
+        else popcount (Int64.logand w (Int64.sub w 1L)) (acc + 1)
+      in
+      ones.(id) <- ones.(id) + popcount values.(id) 0
+    done
+  done;
+  let total_bits = float_of_int (64 * 32) in
+  let probability id = float_of_int ones.(id) /. total_bits in
+  let load = Hashtbl.create 256 in
+  let add (s : M.signal) c =
+    let key = (s.M.node, s.M.inverted) in
+    let prev = try Hashtbl.find load key with Not_found -> 0.0 in
+    Hashtbl.replace load key (prev +. c)
+  in
+  List.iter
+    (fun (gate : M.gate) ->
+      Array.iter (fun s -> add s gate.M.cell.L.input_cap) gate.M.fanins)
+    n.M.gates;
+  List.iter (fun (_, s) -> add s 2.0) n.M.primary_outputs;
+  let vdd2 = L.vdd *. L.vdd in
+  let watts =
+    Hashtbl.fold
+      (fun (node, _) cap acc ->
+        let p = probability node in
+        let activity = 2.0 *. p *. (1.0 -. p) in
+        acc +. (0.5 *. activity *. (cap *. 1e-15) *. vdd2 *. L.clock_hz))
+      load 0.0
+  in
+  watts *. 1e3
+
+let named_circuits =
+  lazy
+    ([ ("ripple8", Circuits.Adders.ripple_carry 8);
+       ("ripple16", Circuits.Adders.ripple_carry 16);
+       ("cla8", Circuits.Adders.carry_lookahead 8);
+       ("select8", Circuits.Adders.carry_select 8);
+       ("skip16", Circuits.Adders.carry_skip 16);
+       ("C880 dc", Baselines.dc_like (Circuits.Suite.build "C880")) ]
+    @ List.map
+        (fun (i : Circuits.Suite.info) ->
+          (i.Circuits.Suite.name, Circuits.Suite.build i.Circuits.Suite.name))
+        Circuits.Suite.all)
+
+let prop_map_reference =
+  qtest ~count:100 "gate lists match the reference matcher" gen_seed (fun seed ->
+      let g = random_aig ~inputs:(4 + (seed mod 8)) ~gates:(20 + (seed mod 120)) seed in
+      show_gates (Techmap.Mapper.map g).Techmap.Mapper.gates
+      = show_gates (reference_map g))
+
+let test_map_reference_circuits () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check (list string))
+        name
+        (show_gates (reference_map g))
+        (show_gates (Techmap.Mapper.map g).Techmap.Mapper.gates))
+    (Lazy.force named_circuits)
+
+let prop_power_reference =
+  qtest ~count:100 "power matches the boxed simulation" gen_seed (fun seed ->
+      let g = random_aig ~inputs:(4 + (seed mod 8)) ~gates:(20 + (seed mod 120)) seed in
+      let n = Techmap.Mapper.map g in
+      Techmap.Power.dynamic_mw n = reference_power n)
+
+let test_power_reference_circuits () =
+  List.iter
+    (fun (name, g) ->
+      let n = Techmap.Mapper.map g in
+      Alcotest.check exact_float name (reference_power n) (Techmap.Power.dynamic_mw n))
+    (Lazy.force named_circuits)
+
 (* --- mapped STA ----------------------------------------------------------- *)
 
 (* Exact float equality, printed in full so a last-bit difference
@@ -189,6 +429,9 @@ let () =
           prop_metrics_positive;
           Alcotest.test_case "constant outputs" `Quick test_constant_output;
           Alcotest.test_case "delay vs depth" `Quick test_delay_monotone_in_depth;
+          prop_map_reference;
+          Alcotest.test_case "reference matcher on circuits" `Quick
+            test_map_reference_circuits;
         ] );
       ( "sta",
         [
@@ -200,5 +443,8 @@ let () =
         [
           Alcotest.test_case "positive and scaling" `Quick test_power_positive_and_scales;
           Alcotest.test_case "deterministic" `Quick test_power_deterministic;
+          prop_power_reference;
+          Alcotest.test_case "boxed simulation on circuits" `Quick
+            test_power_reference_circuits;
         ] );
     ]
