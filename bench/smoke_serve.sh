@@ -10,7 +10,8 @@
 # Then a fresh `-j 2` server must complete a portfolio job as its very
 # first job. Last, the one-shot `lookahead_opt opt`, which runs the
 # same job path cold, must fail the loop BLIF the same typed way (exit
-# 1, `job failed:`), report an injected fault as `degraded: yes`, pass
+# 1, `job failed:`), fail a 40-input `.names` with the reader's message
+# (not an assertion), report an injected fault as `degraded: yes`, pass
 # `--check` (also on two BLIFs whose names look like the writer's own
 # defaults), and write the served BLIF of a job under `--budget-nodes`;
 # and bad front-end input (two circuit sources on `opt`
@@ -227,6 +228,17 @@ fi
 # --check proves the emitted BLIF against the input.
 expect_exit 1 "^job failed:.*combinational loop" cli_loop \
   dune exec bin/lookahead_opt.exe -- opt --blif "$out/loop.blif" -t none
+# A .names wider than a cube's 30 variables is a reader error, not a
+# failed assertion.
+awk 'BEGIN { s = ""; r = ""
+  for (i = 0; i < 40; i++) { s = s " i" i; r = r "1" }
+  print ".model wide"; print ".inputs" s; print ".outputs y"
+  print ".names" s " y"; print r " 1"; print ".end" }' >"$out/wide.blif"
+expect_exit 1 "^job failed:.*blif: .names y has 40 inputs (at most 30)" \
+  cli_wide dune exec bin/lookahead_opt.exe -- opt --blif "$out/wide.blif" -t none
+if grep -q "Assertion" "$out/cli_wide.err"; then
+  echo "smoke_serve: FAIL — cli_wide ended in a failed assertion" >&2; fail=1
+fi
 dune exec bin/lookahead_opt.exe -- opt --adder cla:8 --time-limit 0 \
   --inject 'bdd@500:r' >"$out/cli_faulted.out" 2>"$out/cli_faulted.err" || {
   echo "smoke_serve: FAIL — CLI faulted job did not complete" >&2; fail=1; }

@@ -8,7 +8,9 @@ type t = {
   mutable num_inputs : int;
   mutable outputs : (string * lit) list; (* reversed *)
   mutable num_outputs : int;
-  strash : (int, lit) Hashtbl.t; (* key = fanin0 * 2^30 + fanin1 *)
+  mutable strash : int array; (* AND node ids by open addressing; 0 = free *)
+  mutable strash_bits : int; (* log2 of the strash's size *)
+  mutable strash_count : int;
   names : (int, string) Hashtbl.t;
   input_pos : (int, int) Hashtbl.t;
 }
@@ -26,7 +28,9 @@ let create () =
       num_inputs = 0;
       outputs = [];
       num_outputs = 0;
-      strash = Hashtbl.create 1024;
+      strash = Array.make 1024 0;
+      strash_bits = 10;
+      strash_count = 0;
       names = Hashtbl.create 64;
       input_pos = Hashtbl.create 64;
     }
@@ -62,6 +66,28 @@ let add_input ?name g =
   (match name with Some s -> Hashtbl.replace g.names id s | None -> ());
   lit_of_node id false
 
+(* The strash is a table of AND node ids, probed linearly from a
+   multiplicative hash of the fanin pair; a slot matches when the node
+   in it has those fanins. It stays at most half full. Nothing
+   iterates it, so its layout never reaches a node id. *)
+let strash_slot bits a b = (((a * 0x2C1B3C6D) + b) * 0x1C69B3F74AC4AE35) lsr (63 - bits)
+
+let rec strash_put tbl mask i id =
+  if tbl.(i) = 0 then tbl.(i) <- id else strash_put tbl mask ((i + 1) land mask) id
+
+let strash_grow g =
+  let old = g.strash in
+  let bits = g.strash_bits + 1 in
+  let tbl = Array.make (1 lsl bits) 0 in
+  let mask = (1 lsl bits) - 1 in
+  Array.iter
+    (fun id ->
+      if id <> 0 then
+        strash_put tbl mask (strash_slot bits g.fanin0.(id) g.fanin1.(id)) id)
+    old;
+  g.strash <- tbl;
+  g.strash_bits <- bits
+
 let band g a b =
   let a, b = if a <= b then (a, b) else (b, a) in
   if a = const_false then const_false
@@ -69,18 +95,24 @@ let band g a b =
   else if a = b then a
   else if a = bnot b then const_false
   else begin
-    let key = (a lsl 30) lor b in
-    match Hashtbl.find_opt g.strash key with
-    | Some l -> l
-    | None ->
+    let tbl = g.strash in
+    let mask = Array.length tbl - 1 in
+    let i = ref (strash_slot g.strash_bits a b) in
+    while tbl.(!i) <> 0 && not (g.fanin0.(tbl.(!i)) = a && g.fanin1.(tbl.(!i)) = b) do
+      i := (!i + 1) land mask
+    done;
+    if tbl.(!i) <> 0 then lit_of_node tbl.(!i) false
+    else begin
       grow g;
       let id = g.n in
       g.fanin0.(id) <- a;
       g.fanin1.(id) <- b;
       g.n <- g.n + 1;
-      let l = lit_of_node id false in
-      Hashtbl.replace g.strash key l;
-      l
+      tbl.(!i) <- id;
+      g.strash_count <- g.strash_count + 1;
+      if 2 * g.strash_count > Array.length tbl then strash_grow g;
+      lit_of_node id false
+    end
   end
 
 let bor g a b = bnot (band g (bnot a) (bnot b))

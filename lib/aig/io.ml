@@ -174,6 +174,10 @@ let read_blif text =
         finish ();
         (match List.rev signals with
          | out :: ins_rev ->
+           let n = List.length ins_rev in
+           if n > 30 then
+             failwith
+               (Printf.sprintf "blif: .names %s has %d inputs (at most 30)" out n);
            current := Some { inputs = List.rev ins_rev; output = out; rows = [] }
          | [] -> failwith "blif: empty .names")
       | ".latch" :: _ -> failwith "blif: sequential elements unsupported"
@@ -209,7 +213,7 @@ let read_blif text =
         | None -> failwith (Printf.sprintf "blif: undriven signal %s" name)
       in
       Hashtbl.replace in_progress name ();
-      let fanin_lits = List.map build t.inputs in
+      let fanin_lits = Array.of_list (List.map build t.inputs) in
       Hashtbl.remove in_progress name;
       let n = List.length t.inputs in
       let cube_of pattern =
@@ -235,7 +239,7 @@ let read_blif text =
             if on_rows <> [] then (on_rows, true) else (off_rows, false)
           in
           let sop = Logic.Sop.make n (List.map (fun (p, _) -> cube_of p) rows) in
-          let leaf i = List.nth fanin_lits i in
+          let leaf i = fanin_lits.(i) in
           let l = Synth.of_sop g lev sop ~leaf in
           if polarity then l else Graph.bnot l
         end

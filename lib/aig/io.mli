@@ -8,6 +8,16 @@
     so the text always reads back as the same circuit. *)
 val blif_to_string : ?model:string -> Graph.t -> string
 
+(** [node_names g] names every node of [g] as the writers print it, by
+    node id: an input its own name, or [pi<k>]; AND node [id] is
+    [n<id>], or [n<id>_<j>] when an input or output name is [n<id>]
+    (see {!blif_to_string}). An AND node with the plain default has
+    [""] in the array; {!name_of} reads either kind. *)
+val node_names : Graph.t -> string array
+
+(** [name_of names id] is node [id]'s name in [node_names g]. *)
+val name_of : string array -> int -> string
+
 (** Parse a combinational BLIF subset: [.model], [.inputs], [.outputs],
     single-output [.names] with cube tables (on-set or off-set rows).
     Raises [Failure] on unsupported constructs ([.latch], multiple

@@ -4,19 +4,19 @@ let run ?(k = 5) ?(per_node = 6) ~objective src =
   let cuts = Cuts.enumerate src ~k ~per_node in
   let dst = Graph.create () in
   let lev = Lev.create dst in
-  let map = Hashtbl.create 256 in
-  (* map: src node id -> dst literal *)
+  let nn = Graph.num_nodes src in
+  (* map: src node id -> dst literal, -1 until the node is copied *)
+  let map = Array.make nn (-1) in
   List.iter
     (fun l ->
       let id = Graph.node_of_lit l in
-      Hashtbl.replace map id (Graph.add_input ?name:(Graph.input_name src id) dst))
+      map.(id) <- Graph.add_input ?name:(Graph.input_name src id) dst)
     (Graph.inputs src);
-  Hashtbl.replace map 0 Graph.const_false;
+  map.(0) <- Graph.const_false;
   let translate_lit l =
-    let b = Hashtbl.find map (Graph.node_of_lit l) in
+    let b = map.(Graph.node_of_lit l) in
     if Graph.is_complemented l then Graph.bnot b else b
   in
-  let nn = Graph.num_nodes src in
   for id = 1 to nn - 1 do
     if Graph.is_and src id then begin
       let f0, f1 = Graph.fanins src id in
@@ -26,11 +26,10 @@ let run ?(k = 5) ?(per_node = 6) ~objective src =
           (fun c ->
             let leaves = Cuts.leaves c in
             if Array.length leaves < 3 then None
-            else if Array.exists (fun lid -> not (Hashtbl.mem map lid)) leaves
-            then None
+            else if Array.exists (fun lid -> map.(lid) < 0) leaves then None
             else begin
               let before = Graph.num_nodes dst in
-              let leaf i = Hashtbl.find map leaves.(i) in
+              let leaf i = map.(leaves.(i)) in
               let cand = Synth.of_tt dst lev (Cuts.tt c) ~leaf in
               let added = Graph.num_nodes dst - before in
               Some (cand, Lev.level lev cand, added)
@@ -51,7 +50,7 @@ let run ?(k = 5) ?(per_node = 6) ~objective src =
       let chosen, _, _ =
         List.fold_left (fun acc c -> better c acc) (default, dl, 0) candidates
       in
-      Hashtbl.replace map id chosen
+      map.(id) <- chosen
     end
   done;
   List.iter

@@ -3,55 +3,71 @@ let sanitize name =
   let s = String.map (fun c -> if ok c then c else '_') name in
   if s = "" || (s.[0] >= '0' && s.[0] <= '9') then "s_" ^ s else s
 
+(* Every identifier is the sanitized name, or [<name>_<j>] with the
+   first [j] free when an earlier one took it: inputs first, then
+   outputs, then the wires of reachable AND nodes. Node names are the
+   BLIF writer's ([Io.node_names]), so a default [n<id>] never meets an
+   input or output of that name. *)
 let write ?(module_name = "circuit") ppf g =
   let open Format in
-  let node_name id =
-    match Graph.input_name g id with
-    | Some s -> sanitize s
-    | None ->
-      if Graph.is_input g id then Printf.sprintf "pi%d" (Graph.input_index g id)
-      else Printf.sprintf "n%d" id
+  let names = Io.node_names g in
+  let taken = Hashtbl.create 64 in
+  let claim name =
+    let s = sanitize name in
+    let rec fresh j =
+      let c = Printf.sprintf "%s_%d" s j in
+      if Hashtbl.mem taken c then fresh (j + 1) else c
+    in
+    let s = if Hashtbl.mem taken s then fresh 1 else s in
+    Hashtbl.replace taken s ();
+    s
   in
+  let ident = Array.make (Graph.num_nodes g) "" in
+  let inputs =
+    List.map
+      (fun l ->
+        let id = Graph.node_of_lit l in
+        ident.(id) <- claim (Io.name_of names id);
+        ident.(id))
+      (Graph.inputs g)
+  in
+  let outputs = List.map (fun (name, l) -> (claim name, l)) (Graph.outputs g) in
+  let reachable = Array.make (Graph.num_nodes g) false in
+  let rec mark id =
+    if not reachable.(id) then begin
+      reachable.(id) <- true;
+      if Graph.is_and g id then begin
+        mark (Graph.node_of_lit (Graph.fanin0 g id));
+        mark (Graph.node_of_lit (Graph.fanin1 g id))
+      end
+    end
+  in
+  List.iter (fun (_, l) -> mark (Graph.node_of_lit l)) outputs;
+  let wires =
+    List.filter
+      (fun id -> Graph.is_and g id && reachable.(id))
+      (List.init (Graph.num_nodes g) Fun.id)
+  in
+  List.iter (fun id -> ident.(id) <- claim (Io.name_of names id)) wires;
   let ref_of l =
     if Graph.node_of_lit l = 0 then
       if Graph.is_complemented l then "1'b1" else "1'b0"
     else begin
-      let base = node_name (Graph.node_of_lit l) in
+      let base = ident.(Graph.node_of_lit l) in
       if Graph.is_complemented l then "~" ^ base else base
     end
   in
-  let inputs = List.map (fun l -> node_name (Graph.node_of_lit l)) (Graph.inputs g) in
-  let outputs = List.map (fun (name, _) -> sanitize name) (Graph.outputs g) in
   fprintf ppf "module %s (@[%s@]);@." (sanitize module_name)
-    (String.concat ", " (inputs @ outputs));
+    (String.concat ", " (inputs @ List.map fst outputs));
   List.iter (fun n -> fprintf ppf "  input %s;@." n) inputs;
-  List.iter (fun n -> fprintf ppf "  output %s;@." n) outputs;
-  let reachable = Hashtbl.create 256 in
-  let rec mark id =
-    if not (Hashtbl.mem reachable id) then begin
-      Hashtbl.replace reachable id ();
-      if Graph.is_and g id then begin
-        let f0, f1 = Graph.fanins g id in
-        mark (Graph.node_of_lit f0);
-        mark (Graph.node_of_lit f1)
-      end
-    end
-  in
-  List.iter (fun (_, l) -> mark (Graph.node_of_lit l)) (Graph.outputs g);
-  for id = 1 to Graph.num_nodes g - 1 do
-    if Graph.is_and g id && Hashtbl.mem reachable id then
-      fprintf ppf "  wire %s;@." (node_name id)
-  done;
-  for id = 1 to Graph.num_nodes g - 1 do
-    if Graph.is_and g id && Hashtbl.mem reachable id then begin
-      let f0, f1 = Graph.fanins g id in
-      fprintf ppf "  assign %s = %s & %s;@." (node_name id) (ref_of f0)
-        (ref_of f1)
-    end
-  done;
+  List.iter (fun (n, _) -> fprintf ppf "  output %s;@." n) outputs;
+  List.iter (fun id -> fprintf ppf "  wire %s;@." ident.(id)) wires;
   List.iter
-    (fun (name, l) -> fprintf ppf "  assign %s = %s;@." (sanitize name) (ref_of l))
-    (Graph.outputs g);
+    (fun id ->
+      fprintf ppf "  assign %s = %s & %s;@." ident.(id)
+        (ref_of (Graph.fanin0 g id)) (ref_of (Graph.fanin1 g id)))
+    wires;
+  List.iter (fun (n, l) -> fprintf ppf "  assign %s = %s;@." n (ref_of l)) outputs;
   fprintf ppf "endmodule@."
 
 let to_string ?module_name g =

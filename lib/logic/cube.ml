@@ -10,14 +10,14 @@ let of_literals lits =
         bits = (if b then c.bits lor (1 lsl i) else c.bits land lnot (1 lsl i)) })
     top lits
 
+(* Stops at the highest bound variable. *)
 let literals c =
-  let rec loop i acc =
-    if i < 0 then acc
-    else if c.mask land (1 lsl i) <> 0 then
-      loop (i - 1) ((i, c.bits land (1 lsl i) <> 0) :: acc)
-    else loop (i - 1) acc
+  let rec go m i =
+    if m = 0 then []
+    else if m land 1 = 0 then go (m lsr 1) (i + 1)
+    else (i, (c.bits lsr i) land 1 = 1) :: go (m lsr 1) (i + 1)
   in
-  loop 29 []
+  go c.mask 0
 
 let num_literals c =
   let rec popcount x acc = if x = 0 then acc else popcount (x land (x - 1)) (acc + 1) in

@@ -7,9 +7,10 @@
     sum-of-products between a lower and an upper bound; [minimum_cover]
     grows primes from the on-set minterms and extracts an
     essential-plus-greedy cover, which is minimum or near-minimum for the
-    small functions that appear as network nodes. Both work on the
-    truth-table words: a cube is tested against a cover with one
-    word-parallel check. *)
+    small functions that appear as network nodes. [isop] and the
+    covers of tables with more than 6 variables work on the truth-table
+    words; a table of at most 6 variables is covered on native ints,
+    with the same primes and the same cover, cube for cube. *)
 
 (** [isop ~lower ~upper] is an irredundant cover [c] with
     [lower <= c <= upper]. Requires [lower <= upper]. *)

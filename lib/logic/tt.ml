@@ -179,6 +179,11 @@ let grow_cube cover ~minterm:m ~start =
   done;
   (!mask lsl n) lor (m land !mask)
 
+let half t h =
+  assert (t.n <= 6 && (h = 0 || h = 1));
+  Int64.to_int
+    (Int64.logand (Int64.shift_right_logical t.words.(0) (32 * h)) 0xFFFFFFFFL)
+
 let of_fun n f =
   let t = create n in
   for m = 0 to (1 lsl n) - 1 do

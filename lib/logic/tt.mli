@@ -94,6 +94,11 @@ val cube : int -> mask:int -> bits:int -> t
     that integer order is mask order, then bits order. *)
 val grow_cube : t -> minterm:int -> start:int -> int
 
+(** [half f h] is half [h] (0 or 1) of the table of [f], which has at
+    most 6 variables, as a native int: bit [j] is the value on minterm
+    [32 h + j]. Bits past [2^n] are 0. *)
+val half : t -> int -> int
+
 (** Random table over [n] variables using the given state. *)
 val random : Random.State.t -> int -> t
 

@@ -9,11 +9,12 @@ type summary = {
 
 let measure g =
   let netlist = Mapper.map g in
+  let load = Mapper.loads netlist in
   {
     cells = Mapper.num_gates netlist;
     area = Mapper.area netlist;
-    delay_ps = Mapper.delay netlist;
-    power_mw = Power.dynamic_mw netlist;
+    delay_ps = Mapper.delay_with ~load netlist;
+    power_mw = Power.dynamic_mw_with ~load netlist;
   }
 
 let and2 = Library.find "AND2"

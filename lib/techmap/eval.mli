@@ -17,7 +17,8 @@ type summary = {
 
 (** Map the AIG once ({!Mapper.map}) and read cell count, area, delay
     and dynamic power off the netlist — the exact calls, in the exact
-    order, of the job's metric report ([Serve.Run.metrics]). *)
+    order, of the job's metric report ([Serve.Run.metrics]). The delay
+    and the power read one load table ({!Mapper.loads}), built once. *)
 val measure : Aig.t -> summary
 
 (** {1 Node-local weights}

@@ -276,11 +276,13 @@ let arrivals ~load n =
     n.gates;
   arrival
 
-let delay n =
-  let arrival = arrivals ~load:(loads n) n in
+let delay_with ~load n =
+  let arrival = arrivals ~load n in
   List.fold_left
     (fun acc (_, s) -> max acc (arrival_of arrival s))
     0.0 n.primary_outputs
+
+let delay n = delay_with ~load:(loads n) n
 
 let check n =
   let g = n.source in

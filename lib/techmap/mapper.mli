@@ -48,6 +48,10 @@ val arrivals :
     outputs. *)
 val delay : netlist -> float
 
+(** [delay_with ~load n] is {!delay} under the load table [load], which
+    must be [loads n]: for a caller that reads the same table again. *)
+val delay_with : load:(int * bool, float) Hashtbl.t -> netlist -> float
+
 (** [check netlist] verifies the mapped netlist against its source AIG by
     16 rounds of 64-bit random simulation; used by the test suite. *)
 val check : netlist -> bool

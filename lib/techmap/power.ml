@@ -9,7 +9,7 @@ external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
    word per node in [values]. The draws are part of every reported
    power figure: one [Random.State.int64] word per input, in input
    order, round by round. *)
-let dynamic_mw n =
+let dynamic_mw_with ~load n =
   let g = n.Mapper.source in
   let nn = Aig.num_nodes g in
   let input_ids = Array.of_list (List.map Aig.node_of_lit (Aig.inputs g)) in
@@ -53,6 +53,8 @@ let dynamic_mw n =
         let p = probability node in
         let activity = 2.0 *. p *. (1.0 -. p) in
         acc +. (0.5 *. activity *. (cap *. 1e-15) *. vdd2 *. Library.clock_hz))
-      (Mapper.loads n) 0.0
+      load 0.0
   in
   watts *. 1e3
+
+let dynamic_mw n = dynamic_mw_with ~load:(Mapper.loads n) n

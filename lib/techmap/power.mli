@@ -9,3 +9,8 @@
 (** Power in mW at {!Library.clock_hz} and {!Library.vdd}, from 32
     rounds of 64-bit random simulation. *)
 val dynamic_mw : Mapper.netlist -> float
+
+(** [dynamic_mw_with ~load n] is {!dynamic_mw} with the nets priced from
+    [load], which must be [Mapper.loads n]; the sum runs in that table's
+    fold order, so the figure is the same bits as {!dynamic_mw}'s. *)
+val dynamic_mw_with : load:(int * bool, float) Hashtbl.t -> Mapper.netlist -> float

@@ -672,6 +672,105 @@ let prop_leaf_order =
          = record_leaves (Tt.num_vars tt) (fun g lev ~leaf ->
                reference_of_tt g lev tt ~leaf))
 
+(* [Synth.and_tree]/[or_tree]'s oracle: the sorted list they kept
+   before they moved to arrays. A literal, given or built, goes before
+   the first one of equal or higher level; the two first are combined. *)
+let reference_tree combine unit_lit g lev lits =
+  match lits with
+  | [] -> unit_lit
+  | _ ->
+    let insert x l =
+      let rec go = function
+        | [] -> [ x ]
+        | y :: rest -> if fst x <= fst y then x :: y :: rest else y :: go rest
+      in
+      go l
+    in
+    let q = List.fold_left (fun q l -> insert (Aig.Lev.level lev l, l) q) [] lits in
+    let rec reduce = function
+      | [ (_, l) ] -> l
+      | (_, a) :: (_, b) :: rest ->
+        let c = combine g a b in
+        reduce (insert (Aig.Lev.level lev c, c) rest)
+      | [] -> unit_lit
+    in
+    reduce q
+
+(* Ten trees in a row over one random graph, each on 0-14 literals
+   drawn from its nodes (levels tie often), AND and OR at random: the
+   literals returned and the final graph size must be the oracle's. *)
+let prop_tree =
+  qtest ~count:200 "synth: and_tree/or_tree match the list queue" gen_seed
+    (fun seed ->
+      let run and_t or_t =
+        let g = random_aig ~inputs:6 ~gates:40 seed in
+        let lev = Aig.Lev.create g in
+        let st = Random.State.make [| seed; 31 |] in
+        let results =
+          List.init 10 (fun _ ->
+              let n = Aig.num_nodes g in
+              let lits =
+                List.init (Random.State.int st 15) (fun _ ->
+                    Aig.lit_of_node (1 + Random.State.int st (n - 1)) (Random.State.bool st))
+              in
+              if Random.State.bool st then and_t g lev lits else or_t g lev lits)
+        in
+        (results, Aig.num_nodes g)
+      in
+      run Aig.Synth.and_tree Aig.Synth.or_tree
+      = run (reference_tree Aig.band Aig.const_true) (reference_tree Aig.bor Aig.const_false))
+
+(* The strash against a [Hashtbl] model of [band]: the same fanin pair,
+   in either order, gives the same literal, and a new pair the next
+   node id. 6,000 calls take the table through several growths; a third
+   of them repeat an earlier pair. *)
+let prop_strash_model =
+  qtest ~count:20 "strash matches a Hashtbl model across growths" gen_seed
+    (fun seed ->
+      let st = Random.State.make [| seed; 17 |] in
+      let g = Aig.create () in
+      let pool = ref (List.init 10 (fun _ -> Aig.add_input g)) and np = ref 10 in
+      let model = Hashtbl.create 16 and pairs = ref [||] and nd = ref 0 in
+      let ok = ref true in
+      let pick () =
+        let l = List.nth !pool (Random.State.int st (min !np 40)) in
+        if Random.State.bool st then Aig.bnot l else l
+      in
+      for _ = 1 to 6000 do
+        let a, b =
+          if !nd > 0 && Random.State.int st 3 = 0 then begin
+            let a, b = !pairs.(Random.State.int st !nd) in
+            if Random.State.bool st then (b, a) else (a, b)
+          end
+          else (pick (), pick ())
+        in
+        let lo = min a b and hi = max a b in
+        let expected =
+          if lo = Aig.const_false then Aig.const_false
+          else if lo = Aig.const_true then hi
+          else if lo = hi then lo
+          else if lo = Aig.bnot hi then Aig.const_false
+          else
+            match Hashtbl.find_opt model (lo, hi) with
+            | Some l -> l
+            | None ->
+              let l = Aig.lit_of_node (Aig.num_nodes g) false in
+              Hashtbl.replace model (lo, hi) l;
+              l
+        in
+        let got = Aig.band g a b in
+        if got <> expected then ok := false;
+        if !nd = Array.length !pairs then
+          pairs := Array.append !pairs (Array.make (max 16 !nd) (0, 0));
+        !pairs.(!nd) <- (a, b);
+        incr nd;
+        if not (List.mem got !pool) then begin
+          pool := got :: !pool;
+          incr np
+        end
+      done;
+      !ok && Hashtbl.length model > 2048)
+
 let prop_support =
   qtest "support_of_lit sound" gen_seed (fun seed ->
       let g = random_aig ~inputs:6 ~gates:30 seed in
@@ -712,6 +811,42 @@ let test_verilog_output () =
      && contains text "assign"
      && contains text "endmodule")
 
+(* Names that collide in Verilog: an input called like the default of
+   the AND node it feeds ([n4]), two inputs that sanitize alike ([a.b],
+   [a_b]), and an output that is an input of the same name. No
+   identifier may be declared twice, and no [assign] may read the name
+   it defines. *)
+let test_verilog_names () =
+  let declared text =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' (String.trim line) with
+        | [ ("input" | "output" | "wire"); x ] -> Some (String.sub x 0 (String.length x - 1))
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  let idents s =
+    let ok c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' || c = '\'' in
+    List.filter (fun x -> x <> "") (String.split_on_char ' ' (String.map (fun c -> if ok c then c else ' ') s))
+  in
+  List.iter
+    (fun blif ->
+      let text = Aig.Verilog.to_string (Aig.Io.read_blif blif) in
+      let ds = declared text in
+      Alcotest.(check int) "each identifier declared once" (List.length ds)
+        (List.length (List.sort_uniq compare ds));
+      List.iter
+        (fun line ->
+          match String.split_on_char '=' (String.trim line) with
+          | [ lhs; rhs ] when String.length lhs > 7 && String.sub lhs 0 7 = "assign " ->
+            let x = String.trim (String.sub lhs 7 (String.length lhs - 7)) in
+            if List.mem x (idents rhs) then Alcotest.failf "%s reads itself" (String.trim line)
+          | _ -> ())
+        (String.split_on_char '\n' text))
+    [ ".model t\n.inputs n4 b c\n.outputs y\n.names n4 b t\n11 1\n.names t c y\n11 1\n.end\n";
+      ".model t\n.inputs a.b a_b c\n.outputs y a_b a_b_1\n.names a.b a_b y\n11 1\n\
+       .names a.b c a_b_1\n11 1\n.end\n" ]
+
 let () =
   Alcotest.run "aig"
     [
@@ -738,6 +873,8 @@ let () =
           prop_of_tt_wide;
           prop_divisor;
           prop_leaf_order;
+          prop_tree;
+          prop_strash_model;
           prop_resub_equiv;
           Alcotest.test_case "resub shortcut" `Quick test_resub_finds_shortcut;
         ] );
@@ -757,5 +894,6 @@ let () =
           prop_aag_roundtrip;
           prop_aig_binary_roundtrip;
           Alcotest.test_case "verilog" `Quick test_verilog_output;
+          Alcotest.test_case "verilog names are unique" `Quick test_verilog_names;
         ] );
     ]

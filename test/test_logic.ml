@@ -374,6 +374,20 @@ let props_match_reference =
     (fun n -> prop_matches_reference n ~count:(match n with 8 -> 20 | 7 -> 60 | _ -> 300))
     (List.init 9 Fun.id)
 
+(* Every table of at most 4 inputs, with no don't-cares: the covers
+   [minimum_cover] builds on native ints must be the reference's, cube
+   for cube. *)
+let test_all_small_tables () =
+  for n = 0 to 4 do
+    for t = 0 to (1 lsl (1 lsl n)) - 1 do
+      let on = Tt.of_fun n (fun m -> (t lsr m) land 1 = 1) in
+      let dc = Tt.const_false n in
+      if Minimize.minimum_cover ~on ~dc <> Ref.minimum_cover ~on ~dc then
+        Alcotest.failf "minimum_cover differs from the reference on %d vars, table %s" n
+          (Tt.to_hex on)
+    done
+  done
+
 let test_known_minimum () =
   (* f = x0 x1 + ~x0 x2 : classic 2-cube minimum with a consensus term. *)
   let n = 3 in
@@ -425,5 +439,8 @@ let () =
           prop_primes_maximal;
           Alcotest.test_case "known minimum" `Quick test_known_minimum;
         ] );
-      ("reference", props_match_reference);
+      ( "reference",
+        props_match_reference
+        @ [ Alcotest.test_case "every table of at most 4 inputs" `Quick
+              test_all_small_tables ] );
     ]
